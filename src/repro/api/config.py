@@ -551,7 +551,7 @@ class FleetSpec:
         otherwise :meth:`build_registry` runs first. The live-update
         loop behind ``POST /observe`` runs the spec's drift policy.
         """
-        from ..fleet.dispatch import FleetDispatcher
+        from ..fleet.frontend import FleetDispatcher
         from ..fleet.server import FleetServer
         from ..live import LiveManager
 

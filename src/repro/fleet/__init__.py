@@ -19,7 +19,8 @@ then floor classifier, then the slot's model:
 * :class:`WorkerPool` (``worker.py``) + :class:`SlotPlacement`
   (``placement.py``) — the multi-process executor: N worker processes
   own slots by consistent hash and map the radio maps zero-copy from
-  shared memory (``repro serve --workers N``).
+  shared memory (``repro serve --workers N``). Both executors batch
+  through the same :class:`~repro.serve.dispatcher.Coalescer`.
 * :func:`run_fleet_experiment` (``experiment.py``) — routing accuracy
   and routed-vs-oracle error across the longitudinal epochs.
 * :class:`FleetServer` (``server.py``) — the HTTP/JSON front-end

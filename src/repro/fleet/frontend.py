@@ -8,11 +8,15 @@ implementations:
 
 * :class:`LocalSlotExecutor` (``workers=0``, the default) — one
   :class:`~repro.serve.dispatcher.BatchingDispatcher` per slot inside
-  this process; exactly the single-process dispatcher this front-end
-  was split out of.
+  this process: the coalescer over an inference thread.
 * :class:`~repro.fleet.worker.WorkerPool` (``workers>=1``) — N worker
   processes owning slots by consistent hash, radio maps mapped from
-  shared memory so replicas cost no extra RAM.
+  shared memory so replicas cost no extra RAM; each slot's coalescer
+  flushes over its owner's pipe.
+
+Both executors batch through the same
+:class:`~repro.serve.dispatcher.Coalescer`, so flush policy, error
+fan-out, trace spans and dispatch metrics are identical across them.
 
 Every contract is executor-independent and pinned by the same tests
 against both: bounded admission with atomic 429s happens *here*, before
@@ -106,18 +110,23 @@ class LocalSlotExecutor:
     ) -> None:
         # Kept for hot-swap: a replacement dispatcher must be built with
         # the same micro-batching knobs and bound to the same registry.
-        self._batch_window_ms = batch_window_ms
-        self._max_batch = max_batch
-        self._chunk_size = chunk_size
+        self._knobs = {
+            "batch_window_ms": batch_window_ms,
+            "max_batch": max_batch,
+            "chunk_size": chunk_size,
+        }
         self._metrics: MetricsRegistry | None = None
-        self._dispatchers: dict[str, BatchingDispatcher] = {}
-        for slot in registry.slots():
-            self._dispatchers[slot.slot.label] = BatchingDispatcher(
-                slot.entry.localizer,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
-                chunk_size=chunk_size,
-            )
+        self._dispatchers: dict[str, BatchingDispatcher] = {
+            slot.slot.label: self._build(slot.slot.label, slot.entry.localizer)
+            for slot in registry.slots()
+        }
+
+    def _build(self, label: str, localizer) -> BatchingDispatcher:
+        dispatcher = BatchingDispatcher(localizer, **self._knobs)
+        dispatcher.slot = label
+        if self._metrics is not None:
+            dispatcher.bind_metrics(self._metrics, label)
+        return dispatcher
 
     async def submit(
         self, label: str, scans: np.ndarray, *, trace: Trace | None = None
@@ -145,14 +154,7 @@ class LocalSlotExecutor:
         """
         if label not in self._dispatchers:
             raise KeyError(f"unknown slot {label!r}")
-        replacement = BatchingDispatcher(
-            localizer,
-            batch_window_ms=self._batch_window_ms,
-            max_batch=self._max_batch,
-            chunk_size=self._chunk_size,
-        )
-        if self._metrics is not None:
-            replacement.bind_metrics(self._metrics, label)
+        replacement = self._build(label, localizer)
         old = self._dispatchers[label]
         # Single assignment on the event-loop thread = the atomic flip.
         self._dispatchers[label] = replacement

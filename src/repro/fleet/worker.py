@@ -19,15 +19,17 @@ module is the worker half:
   pipe. It works under both ``fork`` and ``spawn``
   (:mod:`repro.mp` / ``$REPRO_MP_START``) — every message is picklable
   and nothing depends on inherited parent state.
-* :class:`WorkerPool` is the parent-side handle: consistent-hash slot
-  placement (:class:`~repro.fleet.placement.SlotPlacement`), per-slot
-  micro-batch coalescing (same window/row semantics as
-  :class:`~repro.serve.dispatcher.BatchingDispatcher`), graceful
-  rebalance on topology change, and crash-restart — a dead worker is
-  respawned warm from the retained payloads (the shared segments
-  outlive the worker), its in-flight batches retried once, then failed
-  with the *retryable* :class:`WorkerCrashedError` (HTTP 503), never
-  hung.
+* :class:`WorkerPool` is the parent-side handle: placement, transport,
+  swap and resize. Each slot is served by one
+  :class:`~repro.serve.dispatcher.Coalescer` — the package's only
+  micro-batching implementation — whose compute sink is a ``predict``
+  round trip over the owning worker's pipe. On top of that the pool
+  does consistent-hash slot placement
+  (:class:`~repro.fleet.placement.SlotPlacement`), graceful rebalance
+  on topology change, and crash-restart — a dead worker is respawned
+  warm from the retained payloads (the shared segments outlive the
+  worker), its in-flight batches retried once, then failed with the
+  *retryable* :class:`WorkerCrashedError` (HTTP 503), never hung.
 
 Because ``predict_batched`` is row-independent (the
 ``BatchedLocalizer`` contract) and every slot's model state is the
@@ -41,9 +43,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import itertools
 import os
 import pickle
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,6 +65,7 @@ from ..kernels import (
 from ..mp import mp_context
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.trace import Trace
+from ..serve.dispatcher import Coalescer
 from .placement import SlotPlacement, VNODES
 from .registry import FleetRegistry, FleetSlot
 
@@ -266,6 +271,10 @@ def worker_main(
     merged-counter consumer reads as a reset (standard Prometheus
     counter semantics).
     """
+    # A worker forked after the server installed its signal handlers
+    # (a crash respawn) inherits them; restore the default so
+    # ``terminate()`` still stops it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     slots: dict[str, tuple[Localizer, SlotPayload]] = {}
     # Attached shared-memory mappings, grouped by the slot they serve:
     # re-adopting a slot (a hot-swap) or dropping it closes its stale
@@ -422,21 +431,6 @@ class _Worker:
     retired: bool = False
 
 
-@dataclass
-class _SlotQueue:
-    """Per-slot coalescing state (mirrors BatchingDispatcher's window)."""
-
-    pending: list = field(default_factory=list)
-    rows: int = 0
-    handle: asyncio.TimerHandle | None = None
-    requests: int = 0
-    batches: int = 0
-    total_rows: int = 0
-    max_batch_rows: int = 0
-    sequential_requests: int = 0
-    errors: int = 0
-
-
 class WorkerPool:
     """Slot executor backed by N worker processes + shared radio maps.
 
@@ -454,9 +448,11 @@ class WorkerPool:
         entries).
     workers:
         Worker process count (>= 1).
-    batch_window_ms / max_batch / chunk_size:
-        Micro-batching knobs, same semantics as
-        :class:`~repro.serve.dispatcher.BatchingDispatcher`.
+    batch_window_ms / max_batch:
+        Each slot's :class:`~repro.serve.dispatcher.Coalescer` flush
+        policy.
+    chunk_size:
+        Forwarded to the workers' ``predict_batched``.
     start_method:
         Forced multiprocessing start method; ``None`` resolves through
         ``$REPRO_MP_START`` then the platform default (:mod:`repro.mp`).
@@ -477,8 +473,6 @@ class WorkerPool:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.batch_window_ms = float(batch_window_ms)
-        self.max_batch = int(max_batch)
         self.chunk_size = chunk_size
         self._ctx = mp_context(start_method)
         self._vnodes = int(vnodes)
@@ -499,19 +493,20 @@ class WorkerPool:
         self._owner: dict[str, int] = {
             label: self._placement.worker_for(label) for label in self._labels
         }
-        self._queues: dict[str, _SlotQueue] = {
-            label: _SlotQueue() for label in self._labels
+        self._coalescers: dict[str, Coalescer] = {
+            label: Coalescer(
+                functools.partial(self._compute, label),
+                batched=payload.batched,
+                batch_window_ms=batch_window_ms,
+                max_batch=max_batch,
+                slot=label,
+            )
+            for label, payload in self._payloads.items()
         }
         self._req_ids = itertools.count(1)
         self._inflight: dict[int, _Inflight] = {}
         self._lock = threading.Lock()
-        self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
-        # Parent-side bound metric children (bind_metrics).
-        self._m_batch_seconds_family = None
-        self._m_rows_family = None
-        self._m_batches_family = None
-        self._m_errors_family = None
         self._workers: dict[int, _Worker] = {}
         try:
             for worker_id, labels in self._placement.assign(
@@ -589,50 +584,61 @@ class WorkerPool:
                     entry, RuntimeError("worker pool is closed")
                 )
             return
-        if worker.retired:
-            # A retiree crashing mid-drain: its slots already rehomed,
-            # so stranded batches retry against the new owners.
-            for entry in stranded:
-                if entry.op != "predict" or entry.retries >= MAX_CRASH_RETRIES:
-                    self._fail_threadsafe(
-                        entry,
-                        WorkerCrashedError(worker.id, entry.label or "?"),
-                    )
-                else:
-                    entry.retries += 1
-                    _call_threadsafe(entry.loop, self._redispatch, entry)
-            return
-        worker.restarts += 1
-        try:
-            # Warm respawn: the payload bundle (pickles + shared-memory
-            # handles) is retained parent-side and the segments are
-            # still linked, so the replacement maps the same radio maps
-            # and is ready without refitting or re-publication.
-            labels = [
-                label
-                for label, owner in self._owner.items()
-                if owner == worker.id
-            ]
-            replacement = self._spawn(worker.id, labels)
-            replacement.restarts = worker.restarts
-            replacement.jobs = worker.jobs
-            replacement.rows = worker.rows
-            replacement.errors = worker.errors
-            self._workers[worker.id] = replacement
-        except Exception:
-            for entry in stranded:
-                self._fail_threadsafe(
-                    entry, WorkerCrashedError(worker.id, entry.label or "?")
-                )
-            return
+        # A retiree crashing mid-drain needs no respawn: its slots
+        # already rehomed, so stranded batches retry on the new owners.
+        if not worker.retired:
+            worker.restarts += 1
+            try:
+                # Warm respawn: the payload bundle (pickles + shared-
+                # memory handles) is retained parent-side and the
+                # segments are still linked, so the replacement maps the
+                # same radio maps and is ready without refitting or
+                # re-publication.
+                labels = [
+                    label
+                    for label, owner in self._owner.items()
+                    if owner == worker.id
+                ]
+                replacement = self._spawn(worker.id, labels)
+                replacement.restarts = worker.restarts
+                replacement.jobs = worker.jobs
+                replacement.rows = worker.rows
+                replacement.errors = worker.errors
+            except Exception:
+                self._retry_or_fail(worker.id, stranded, retry=False)
+                return
+            with self._lock:
+                installed = not self._closed
+                if installed:
+                    self._workers[worker.id] = replacement
+            if not installed:
+                # close() ran during the respawn and never saw this
+                # process: stop it here, or it outlives the pool.
+                replacement.process.terminate()
+                replacement.process.join(timeout=5.0)
+        self._retry_or_fail(worker.id, stranded)
+
+    def _retry_or_fail(
+        self, worker_id: int, stranded: list[_Inflight], *, retry: bool = True
+    ) -> None:
+        """Re-dispatch each crash-stranded predict once; fail the rest.
+
+        Runs on the reader thread, so every hand-off goes through
+        :func:`_call_threadsafe`: an entry whose loop already closed is
+        skipped, never left to strand the entries after it.
+        """
         for entry in stranded:
-            if entry.op != "predict" or entry.retries >= MAX_CRASH_RETRIES:
-                self._fail_threadsafe(
-                    entry, WorkerCrashedError(worker.id, entry.label or "?")
-                )
-            else:
+            if (
+                retry
+                and entry.op == "predict"
+                and entry.retries < MAX_CRASH_RETRIES
+            ):
                 entry.retries += 1
-                entry.loop.call_soon_threadsafe(self._redispatch, entry)
+                _call_threadsafe(entry.loop, self._redispatch, entry)
+            else:
+                self._fail_threadsafe(
+                    entry, WorkerCrashedError(worker_id, entry.label or "?")
+                )
 
     def _redispatch(self, entry: _Inflight) -> None:
         """Re-send a crash-stranded predict to the slot's current owner."""
@@ -697,7 +703,6 @@ class WorkerPool:
                        label: str | None = None,
                        scans: np.ndarray | None = None):
         loop = asyncio.get_running_loop()
-        self._loop = loop
         entry = _Inflight(
             req_id=next(self._req_ids),
             worker_id=worker.id,
@@ -751,43 +756,9 @@ class WorkerPool:
     # -- public surface (the slot-executor seam) ---------------------------
 
     def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Record parent-side per-slot dispatch series into ``registry``.
-
-        Uses the same family names as
-        :meth:`~repro.serve.dispatcher.BatchingDispatcher.bind_metrics`
-        so ``/metrics`` reads identically whichever executor serves —
-        here ``repro_batch_compute_seconds`` includes the pipe round
-        trip (the in-worker share is the separate
-        ``repro_worker_predict_seconds`` family shipped by snapshot).
-        """
-        self._m_batch_seconds_family = registry.histogram(
-            "repro_batch_compute_seconds",
-            "Coalesced-batch inference time, by slot.",
-            ("slot",),
-        )
-        self._m_rows_family = registry.counter(
-            "repro_dispatch_rows_total",
-            "Scan rows resolved through the dispatcher, by slot.",
-            ("slot",),
-        )
-        self._m_batches_family = registry.counter(
-            "repro_dispatch_batches_total",
-            "Coalesced flushes dispatched, by slot.",
-            ("slot",),
-        )
-        self._m_errors_family = registry.counter(
-            "repro_dispatch_errors_total",
-            "Requests failed inside dispatch, by slot.",
-            ("slot",),
-        )
-
-    def _record_batch_metrics(
-        self, label: str, elapsed: float, n_rows: int
-    ) -> None:
-        if self._m_batch_seconds_family is not None:
-            self._m_batch_seconds_family.labels(label).observe(elapsed)
-            self._m_rows_family.labels(label).inc(n_rows)
-            self._m_batches_family.labels(label).inc()
+        """Record parent-side per-slot dispatch series into ``registry``."""
+        for label, coalescer in self._coalescers.items():
+            coalescer.bind_metrics(registry, label)
 
     async def collect_metrics(self) -> list[MetricsSnapshot]:
         """Every live worker's metrics snapshot (crashed workers skipped).
@@ -815,112 +786,16 @@ class WorkerPool:
         """Resolve one slot batch; coalesces with concurrent arrivals."""
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        if label not in self._payloads:
+        if label not in self._coalescers:
             raise KeyError(f"unknown slot {label!r}")
-        queue = self._queues[label]
-        queue.requests += 1
-        if not self._payloads[label].batched:
-            # Sequential decoders must not be coalesced across clients
-            # (same rule as BatchingDispatcher); FIFO pipe + the
-            # worker's single thread keep request order.
-            queue.sequential_requests += 1
-            return await self._predict_once(label, scans, queue, trace)
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        queue.pending.append((scans, fut, trace, time.perf_counter()))
-        queue.rows += int(scans.shape[0])
-        if queue.rows >= self.max_batch:
-            self._flush(label)
-        elif queue.handle is None:
-            queue.handle = loop.call_later(
-                self.batch_window_ms / 1000.0, self._flush, label
-            )
-        return await fut
+        return await self._coalescers[label].localize(scans, trace=trace)
 
-    async def _predict_once(
-        self,
-        label: str,
-        scans: np.ndarray,
-        queue: _SlotQueue,
-        trace: Trace | None,
-    ) -> np.ndarray:
+    async def _compute(self, label: str, matrix: np.ndarray) -> np.ndarray:
+        """Pipe sink: one predict round trip to the slot's current owner."""
         worker = self._workers[self._owner[label]]
-        t_submit = time.perf_counter()
-        try:
-            coords = await self._request(
-                worker, "predict", (label, scans), label=label, scans=scans
-            )
-        except Exception:
-            queue.errors += 1
-            if self._m_errors_family is not None:
-                self._m_errors_family.labels(label).inc()
-            raise
-        elapsed = time.perf_counter() - t_submit
-        queue.batches += 1
-        queue.total_rows += int(scans.shape[0])
-        queue.max_batch_rows = max(
-            queue.max_batch_rows, int(scans.shape[0])
+        return await self._request(
+            worker, "predict", (label, matrix), label=label, scans=matrix
         )
-        self._record_batch_metrics(label, elapsed, int(scans.shape[0]))
-        if trace is not None:
-            trace.add("compute", elapsed, slot=label)
-        return coords
-
-    def _flush(self, label: str) -> None:
-        queue = self._queues[label]
-        if queue.handle is not None:
-            queue.handle.cancel()
-            queue.handle = None
-        batch, queue.pending = queue.pending, []
-        queue.rows = 0
-        if not batch:
-            return
-        loop = asyncio.get_running_loop()
-        loop.create_task(self._run_batch(label, batch))
-
-    async def _run_batch(
-        self,
-        label: str,
-        batch: list[tuple[np.ndarray, asyncio.Future, Trace | None, float]],
-    ) -> None:
-        queue = self._queues[label]
-        t_flush = time.perf_counter()
-        for _, _, trace, t_enqueue in batch:
-            if trace is not None:
-                # Coalescing wait: enqueue until this flush fired.
-                trace.add("queue", t_flush - t_enqueue, slot=label)
-        try:
-            matrix = (
-                batch[0][0]
-                if len(batch) == 1
-                else np.concatenate([rows for rows, _, _, _ in batch], axis=0)
-            )
-            worker = self._workers[self._owner[label]]
-            coords = await self._request(
-                worker, "predict", (label, matrix), label=label, scans=matrix
-            )
-        except Exception as exc:  # noqa: BLE001 - fan the failure out
-            queue.errors += len(batch)
-            if self._m_errors_family is not None:
-                self._m_errors_family.labels(label).inc(len(batch))
-            for _, fut, _, _ in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
-        elapsed = time.perf_counter() - t_flush
-        n_rows = int(matrix.shape[0])
-        queue.batches += 1
-        queue.total_rows += n_rows
-        queue.max_batch_rows = max(queue.max_batch_rows, n_rows)
-        self._record_batch_metrics(label, elapsed, n_rows)
-        offset = 0
-        for rows, fut, trace, _ in batch:
-            n = int(rows.shape[0])
-            if trace is not None:
-                trace.add("compute", elapsed, slot=label, batch_rows=n_rows)
-            if not fut.done():
-                fut.set_result(np.array(coords[offset : offset + n]))
-            offset += n
 
     # -- hot-swap ----------------------------------------------------------
 
@@ -937,10 +812,9 @@ class WorkerPool:
            ``adopt``: if the owner crashes mid-swap, its warm respawn
            rehydrates from ``_payloads`` and lands on the **new**
            version.
-        3. Send ``adopt`` to the owner. The worker loop is FIFO, so
-           every predict sent before the adopt is answered by the old
-           model first; the adopt itself closes the worker's stale
-           mappings.
+        3. Drain the slot's coalescer (every request it admitted so far
+           is answered by the old model), then send ``adopt`` to the
+           owner; the adopt itself closes the worker's stale mappings.
         4. Unlink the replaced segments — the single parent-side
            release point, same discipline as ``close()``.
         """
@@ -958,6 +832,7 @@ class WorkerPool:
         self._payloads[label] = payload
         self._slot_regions[label] = new_regions
         self._regions.extend(new_regions)
+        await self._coalescers[label].drain()
         worker = self._workers[self._owner[label]]
         try:
             await self._request(worker, "adopt", [payload])
@@ -1069,23 +944,18 @@ class WorkerPool:
         """Stop workers, fail pending work, unlink the shared segments."""
         if self._closed:
             return
-        self._closed = True
         with self._lock:
+            # Under the lock: a crash respawn installs its replacement
+            # only while the pool is open (see _on_worker_exit).
+            self._closed = True
             stranded = list(self._inflight.values())
             self._inflight.clear()
         for entry in stranded:
             self._fail_threadsafe(
                 entry, RuntimeError("worker pool is closed")
             )
-        for queue in self._queues.values():
-            if queue.handle is not None:
-                queue.handle.cancel()
-                queue.handle = None
-            pending, queue.pending = queue.pending, []
-            queue.rows = 0
-            for _, fut, _, _ in pending:
-                if not fut.done():
-                    fut.set_exception(RuntimeError("worker pool is closed"))
+        for coalescer in self._coalescers.values():
+            coalescer.close()
         for worker in self._workers.values():
             worker.retired = True
             with contextlib.suppress(OSError, ValueError):
@@ -1109,24 +979,15 @@ class WorkerPool:
     # -- introspection -----------------------------------------------------
 
     def slot_stats(self) -> dict:
-        """Per-slot dispatch counters, same keys as DispatchStats."""
+        """Per-slot coalescer counters plus each slot's owning worker.
+
+        No shard-regroup keys: the workers never regroup flushes.
+        """
         out = {}
-        for label, queue in self._queues.items():
-            mean = (
-                round(queue.total_rows / queue.batches, 2)
-                if queue.batches
-                else 0.0
-            )
-            out[label] = {
-                "requests": queue.requests,
-                "rows": queue.total_rows,
-                "batches": queue.batches,
-                "mean_batch_rows": mean,
-                "max_batch_rows": queue.max_batch_rows,
-                "sequential_requests": queue.sequential_requests,
-                "errors": queue.errors,
-                "worker": self._owner[label],
-            }
+        for label, coalescer in self._coalescers.items():
+            stats = coalescer.stats.as_dict()
+            del stats["shard_grouped_batches"], stats["shard_groups"]
+            out[label] = {**stats, "worker": self._owner[label]}
         return out
 
     def worker_stats(self) -> list[dict]:

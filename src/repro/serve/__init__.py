@@ -6,11 +6,13 @@ substrate into a system that serves online traffic:
 * :class:`ModelStore` (``store.py``) — fit/load each localizer once,
   keep it warm keyed by ``(framework, train-content-hash, seed, fast)``,
   persist fitted state to disk so a restart skips the refit.
-* :class:`BatchingDispatcher` (``dispatcher.py``) — asyncio
-  micro-batching: coalesce concurrent single-scan requests into one
-  ``(n, n_aps)`` ``predict_batched`` call within a configurable window,
+* :class:`Coalescer` (``dispatcher.py``) — asyncio micro-batching:
+  coalesce concurrent single-scan requests into one ``(n, n_aps)``
+  call of an async compute sink within a configurable window,
   bit-identical to per-request dispatch; sequential decoders (GIFT)
   fall back to ordered per-request dispatch automatically.
+  :class:`BatchingDispatcher` is the coalescer over an inference
+  thread; the fleet's worker pool reuses it over worker pipes.
 * :class:`LocalizationServer` (``server.py``) — stdlib-only HTTP/JSON
   API: ``POST /localize``, ``POST /localize_batch``, ``GET /healthz``,
   ``GET /models``. Wired into the CLI as ``repro serve``.
@@ -19,7 +21,7 @@ See ``docs/api.md`` for the JSON request/response schemas and
 ``docs/architecture.md`` for where this layer sits in the stack.
 """
 
-from .dispatcher import BatchingDispatcher, DispatchStats
+from .dispatcher import BatchingDispatcher, Coalescer, DispatchStats
 from .protocol import (
     API_VERSION,
     MAX_BATCH_ROWS,
@@ -35,6 +37,7 @@ from .store import ModelKey, ModelStore, StoreEntry
 __all__ = [
     "API_VERSION",
     "BatchingDispatcher",
+    "Coalescer",
     "DispatchStats",
     "ModelKey",
     "ModelStore",

@@ -1,39 +1,45 @@
-"""Async micro-batching request dispatcher.
+"""Async micro-batching: one :class:`Coalescer`, two compute sinks.
 
 The serving hot path: many concurrent clients each submit one
 ``(n_aps,)`` scan, but the fitted models are dramatically faster per
 query when driven through ``predict_batched`` on a coalesced
 ``(n, n_aps)`` matrix (PR 1's batched contract — one distance/forward
-block instead of n tiny ones). The :class:`BatchingDispatcher` bridges
-the two:
+block instead of n tiny ones). The :class:`Coalescer` bridges the two,
+and it is the only micro-batching implementation in the package:
 
 * Requests enqueue into a pending list. The first arrival arms a flush
   timer of ``batch_window_ms``; the batch flushes early the moment
   ``max_batch`` rows are pending. Everything in one flush rides a
-  single ``predict_batched`` call, then results are split back to the
-  awaiting futures row-for-row.
+  single call into the coalescer's **compute sink**, an async
+  ``(matrix) -> coords`` callable; results are then split back to the
+  awaiting futures row-for-row. A failed flush rejects every future of
+  its batch.
 * Because ``BatchedLocalizer.predict`` is row-independent by contract,
   the coalesced answer is **bit-identical** to dispatching each request
   alone — micro-batching changes latency and throughput, never values
-  (``tests/serve/test_dispatcher.py`` asserts this).
+  (``tests/serve/test_dispatcher.py`` asserts this for both sinks).
 * Frameworks whose online phase is stateful over the scan sequence
   (GIFT's walk decoding — ``batched_inference`` is False) cannot be
   coalesced across clients: interleaving two users' scans into one
   "walk" would corrupt both. Those fall back to **per-request
-  dispatch**, each request's rows handled as one ordered sequence, in
-  arrival order.
+  dispatch**: each request is its own flush, its rows one ordered
+  sequence, in arrival order.
 
-Inference runs on a single worker thread (``run_in_executor``), so the
-event loop keeps accepting and coalescing new arrivals while a batch
-computes — that overlap is where micro-batching throughput comes from.
-The single worker also serializes sequential-framework requests without
-extra locking.
+There are two sinks. :class:`BatchingDispatcher` is the coalescer over
+a single worker thread (``run_in_executor``), so the event loop keeps
+accepting and coalescing new arrivals while a batch computes — that
+overlap is where micro-batching throughput comes from — and the single
+thread serializes sequential-framework requests without extra locking.
+The fleet's :class:`~repro.fleet.worker.WorkerPool` keeps one
+coalescer per slot whose sink is a predict round trip over its owning
+worker process's pipe.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +48,13 @@ import numpy as np
 from ..baselines.base import BatchedLocalizer, Localizer
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Trace
+
+#: An async compute sink: one coalesced ``(n, n_aps)`` matrix in, its
+#: ``(n, 2)`` coordinates out.
+Sink = Callable[[np.ndarray], Awaitable[np.ndarray]]
+
+#: One queued request: rows, its future, its trace, enqueue time.
+_Entry = tuple[np.ndarray, asyncio.Future, Trace | None, float]
 
 
 @dataclass
@@ -60,8 +73,8 @@ class DispatchStats:
     #: Total distinct probed shards across those regrouped flushes.
     shard_groups: int = 0
 
-    def record_batch(self, n_requests: int, n_rows: int) -> None:
-        """Account one coalesced flush of ``n_requests`` requests."""
+    def record_batch(self, n_rows: int) -> None:
+        """Account one completed flush of ``n_rows`` rows."""
         self.batches += 1
         self.rows += n_rows
         self.max_batch_rows = max(self.max_batch_rows, n_rows)
@@ -85,15 +98,16 @@ class DispatchStats:
         }
 
 
-class BatchingDispatcher:
-    """Coalesce concurrent localization requests into batched inference.
+class Coalescer:
+    """Coalesce concurrent localization requests into sink calls.
 
     Parameters
     ----------
-    localizer:
-        A *fitted* localizer. Batch-safe ones (``BatchedLocalizer``)
-        get micro-batching; sequential decoders get ordered per-request
-        dispatch.
+    sink:
+        The async compute sink every flush goes to.
+    batched:
+        ``True`` for batch-safe models (micro-batching); ``False`` for
+        sequential decoders (ordered per-request dispatch).
     batch_window_ms:
         How long the first request of a batch waits for company before
         flushing. ``0`` still coalesces arrivals of the same event-loop
@@ -102,8 +116,231 @@ class BatchingDispatcher:
     max_batch:
         Flush immediately once this many rows are pending. Bounds how
         stale the window can let a batch get; does not split a single
-        larger-than-``max_batch`` request (use ``chunk_size`` to bound
-        its memory instead).
+        larger-than-``max_batch`` request.
+    slot:
+        Labels this coalescer's ``queue``/``compute`` trace spans (fleet
+        slots); ``None`` leaves them unlabeled.
+    """
+
+    def __init__(
+        self,
+        sink: Sink,
+        *,
+        batched: bool,
+        batch_window_ms: float = 2.0,
+        max_batch: int = 256,
+        slot: str | None = None,
+    ) -> None:
+        if batch_window_ms < 0:
+            raise ValueError("batch_window_ms must be >= 0")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        self.batched = batched
+        self.batch_window_ms = float(batch_window_ms)
+        self.max_batch = int(max_batch)
+        self.slot = slot
+        self.stats = DispatchStats()
+        self._sink = sink
+        self._pending: list[_Entry] = []
+        self._pending_rows = 0
+        self._flush_handle: asyncio.TimerHandle | None = None
+        #: Sink calls launched and not yet delivered (what drain awaits).
+        self._inflight: set[asyncio.Future] = set()
+        self._closed = False
+        # Bound metric children (bind_metrics); None = not recording.
+        self._m_batch_seconds = None
+        self._m_rows = None
+        self._m_batches = None
+        self._m_errors = None
+
+    def bind_metrics(self, registry: MetricsRegistry, slot: str = "_") -> None:
+        """Record per-flush counters/latency into ``registry``.
+
+        ``slot`` labels the series (fleet servers run one coalescer per
+        deployment slot; the single-model server uses ``"_"``). Families
+        are get-or-created, so any number of coalescers can bind the
+        same registry. ``repro_batch_compute_seconds`` times the whole
+        sink call: for the worker sink that includes the pipe round
+        trip (the in-worker share is ``repro_worker_predict_seconds``).
+        """
+        self._m_batch_seconds = registry.histogram(
+            "repro_batch_compute_seconds",
+            "Coalesced-batch inference time, by slot.",
+            ("slot",),
+        ).labels(slot)
+        self._m_rows = registry.counter(
+            "repro_dispatch_rows_total",
+            "Scan rows resolved through the dispatcher, by slot.",
+            ("slot",),
+        ).labels(slot)
+        self._m_batches = registry.counter(
+            "repro_dispatch_batches_total",
+            "Coalesced flushes dispatched, by slot.",
+            ("slot",),
+        ).labels(slot)
+        self._m_errors = registry.counter(
+            "repro_dispatch_errors_total",
+            "Requests failed inside dispatch, by slot.",
+            ("slot",),
+        ).labels(slot)
+
+    # -- public API --------------------------------------------------------
+
+    async def localize(
+        self, rssi: np.ndarray, *, trace: Trace | None = None
+    ) -> np.ndarray:
+        """Resolve ``(n, n_aps)`` (or a single ``(n_aps,)``) scan rows.
+
+        Awaits until the request's batch is dispatched and returns the
+        ``(n, 2)`` coordinates for exactly the submitted rows. Raises
+        whatever the sink raises. A failed dispatch rejects every future
+        of its batch; it never corrupts results of other batches. (The
+        HTTP layer validates shapes per request before enqueueing, so
+        one client's malformed scan cannot fail a co-batched client.)
+        """
+        if self._closed:
+            raise RuntimeError("dispatcher is closed")
+        rssi = np.asarray(rssi, dtype=np.float64)
+        if rssi.ndim == 1:
+            rssi = rssi[None, :]
+        if rssi.ndim != 2 or rssi.shape[0] == 0:
+            raise ValueError(f"expected (n>=1, n_aps) scans, got {rssi.shape}")
+        self.stats.requests += 1
+        loop = asyncio.get_running_loop()
+        entry = (rssi, loop.create_future(), trace, time.perf_counter())
+        if not self.batched:
+            # Never coalesced across clients: the request is its own
+            # flush, launched now, so sinks see arrival order.
+            self.stats.sequential_requests += 1
+            self._launch([entry], entry[3])
+        else:
+            self._pending.append(entry)
+            self._pending_rows += rssi.shape[0]
+            if self._pending_rows >= self.max_batch:
+                self._flush()
+            elif self._flush_handle is None:
+                self._flush_handle = loop.call_later(
+                    self.batch_window_ms / 1000.0, self._flush
+                )
+        return await entry[1]
+
+    async def drain(self) -> None:
+        """Complete every enqueued and in-flight request, failing none.
+
+        The hot-swap half of ``close()``: a live swap first points new
+        traffic at the replacement, then drains this coalescer so
+        requests that already hold its reference finish on the *old*
+        model. Flushes whatever is pending, then awaits the sink calls
+        launched so far — whatever the sink is. Later arrivals are not
+        waited for, so a drain under sustained traffic still returns.
+        """
+        self._flush()
+        if self._inflight:
+            await asyncio.wait(tuple(self._inflight))
+
+    def close(self) -> None:
+        """Fail pending (not yet flushed) requests; refuse new ones."""
+        if self._closed:
+            return
+        self._closed = True
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        pending, self._pending = self._pending, []
+        self._pending_rows = 0
+        for _, fut, _, _ in pending:
+            if not fut.done():
+                fut.set_exception(RuntimeError("dispatcher closed"))
+
+    # -- micro-batching core -----------------------------------------------
+
+    def _span_attrs(self) -> dict:
+        return {} if self.slot is None else {"slot": self.slot}
+
+    def _flush(self) -> None:
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        batch, self._pending = self._pending, []
+        self._pending_rows = 0
+        if not batch:
+            return
+        t_flush = time.perf_counter()
+        attrs = self._span_attrs()
+        for _, _, trace, t_enqueue in batch:
+            if trace is not None:
+                # Coalescing wait: enqueue until this flush fired.
+                trace.add("queue", t_flush - t_enqueue, **attrs)
+        self._launch(batch, t_flush)
+
+    def _launch(self, batch: list[_Entry], t_start: float) -> None:
+        try:
+            # Raises when direct API callers coalesce inconsistent row
+            # widths; fail this batch rather than hang its futures.
+            matrix = (
+                batch[0][0]
+                if len(batch) == 1
+                else np.concatenate([rows for rows, _, _, _ in batch], axis=0)
+            )
+            job = asyncio.ensure_future(self._sink(matrix))
+        except Exception as exc:
+            self._fail(batch, exc)
+            return
+        # Delivered from a done callback rather than a wrapping task,
+        # so the thread sink pays no extra task step per flush.
+        self._inflight.add(job)
+        job.add_done_callback(lambda done: self._deliver(batch, done, t_start))
+
+    def _fail(self, batch: list[_Entry], exc: BaseException) -> None:
+        self.stats.errors += len(batch)
+        if self._m_errors is not None:
+            self._m_errors.inc(len(batch))
+        for _, fut, _, _ in batch:
+            if not fut.done():
+                fut.set_exception(exc)
+
+    def _deliver(
+        self, batch: list[_Entry], done: asyncio.Future, t_start: float
+    ) -> None:
+        self._inflight.discard(done)
+        exc = asyncio.CancelledError() if done.cancelled() else done.exception()
+        if exc is not None:
+            self._fail(batch, exc)
+            return
+        coords = done.result()
+        elapsed = time.perf_counter() - t_start
+        n_rows = sum(rows.shape[0] for rows, _, _, _ in batch)
+        # Counted only on success, so the /healthz batch counters
+        # reflect completed work.
+        self.stats.record_batch(n_rows)
+        if self._m_batch_seconds is not None:
+            self._m_batch_seconds.observe(elapsed)
+            self._m_rows.inc(n_rows)
+            self._m_batches.inc()
+        attrs = self._span_attrs()
+        if self.batched:
+            attrs["batch_rows"] = n_rows
+        offset = 0
+        for rows, fut, trace, _ in batch:
+            n = rows.shape[0]
+            if trace is not None:
+                trace.add("compute", elapsed, **attrs)
+            if not fut.done():
+                fut.set_result(np.array(coords[offset : offset + n]))
+            offset += n
+
+
+class BatchingDispatcher(Coalescer):
+    """The coalescer over a single inference thread (the thread sink).
+
+    Parameters
+    ----------
+    localizer:
+        A *fitted* localizer. Batch-safe ones (``BatchedLocalizer``)
+        get micro-batching; sequential decoders get ordered per-request
+        dispatch.
+    batch_window_ms / max_batch:
+        The :class:`Coalescer` flush policy.
     chunk_size:
         Forwarded to ``predict_batched`` — caps rows per inference
         block; changes peak memory, never values.
@@ -117,223 +354,56 @@ class BatchingDispatcher:
         max_batch: int = 256,
         chunk_size: int | None = None,
     ) -> None:
-        if batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+        super().__init__(
+            self._compute,
+            batched=isinstance(localizer, BatchedLocalizer),
+            batch_window_ms=batch_window_ms,
+            max_batch=max_batch,
+        )
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.localizer = localizer
-        self.batched = isinstance(localizer, BatchedLocalizer)
-        self.batch_window_ms = float(batch_window_ms)
-        self.max_batch = int(max_batch)
         self.chunk_size = chunk_size
-        self.stats = DispatchStats()
-        self._pending: list[tuple[np.ndarray, asyncio.Future, Trace | None, float]] = []
-        self._pending_rows = 0
-        self._flush_handle: asyncio.TimerHandle | None = None
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve-predict"
         )
-        self._closed = False
-        # Bound metric children (bind_metrics); None = not recording.
-        self._m_batch_seconds = None
-        self._m_rows = None
-        self._m_batches = None
-        self._m_errors = None
-
-    def bind_metrics(self, registry: MetricsRegistry, slot: str = "_") -> None:
-        """Record per-flush counters/latency into ``registry``.
-
-        ``slot`` labels the series (fleet servers run one dispatcher
-        per deployment slot; the single-model server uses ``"_"``).
-        Families are get-or-created, so any number of dispatchers can
-        bind the same registry.
-        """
-        batch_seconds = registry.histogram(
-            "repro_batch_compute_seconds",
-            "Coalesced-batch inference time, by slot.",
-            ("slot",),
-        )
-        rows = registry.counter(
-            "repro_dispatch_rows_total",
-            "Scan rows resolved through the dispatcher, by slot.",
-            ("slot",),
-        )
-        batches = registry.counter(
-            "repro_dispatch_batches_total",
-            "Coalesced flushes dispatched, by slot.",
-            ("slot",),
-        )
-        errors = registry.counter(
-            "repro_dispatch_errors_total",
-            "Requests failed inside dispatch, by slot.",
-            ("slot",),
-        )
-        self._m_batch_seconds = batch_seconds.labels(slot)
-        self._m_rows = rows.labels(slot)
-        self._m_batches = batches.labels(slot)
-        self._m_errors = errors.labels(slot)
-
-    # -- public API --------------------------------------------------------
-
-    async def localize(
-        self, rssi: np.ndarray, *, trace: Trace | None = None
-    ) -> np.ndarray:
-        """Resolve ``(n, n_aps)`` (or a single ``(n_aps,)``) scan rows.
-
-        Awaits until the request's batch is dispatched and returns the
-        ``(n, 2)`` coordinates for exactly the submitted rows. Raises
-        whatever the underlying ``predict`` raises. A failed dispatch
-        rejects every future of its batch; it never corrupts results of
-        other batches. (The HTTP layer validates shapes per request
-        before enqueueing, so one client's malformed scan cannot fail a
-        co-batched client.)
-        """
-        if self._closed:
-            raise RuntimeError("dispatcher is closed")
-        rssi = np.asarray(rssi, dtype=np.float64)
-        if rssi.ndim == 1:
-            rssi = rssi[None, :]
-        if rssi.ndim != 2 or rssi.shape[0] == 0:
-            raise ValueError(f"expected (n>=1, n_aps) scans, got {rssi.shape}")
-        self.stats.requests += 1
-        if not self.batched:
-            return await self._dispatch_sequential(rssi, trace)
-        return await self._enqueue(rssi, trace)
-
-    async def drain(self) -> None:
-        """Complete every enqueued and in-flight request, failing none.
-
-        The hot-swap half of ``close()``: a live swap first points new
-        traffic at the replacement dispatcher, then drains this one so
-        requests that already hold its reference finish on the *old*
-        model, then closes it. Flushes whatever is pending and rides a
-        sentinel through the single-worker inference executor — FIFO
-        ordering guarantees every earlier batch has computed by the
-        time the sentinel returns.
-        """
-        self._flush()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, lambda: None)
 
     def close(self) -> None:
         """Fail pending requests and release the inference thread."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        pending, self._pending = self._pending, []
-        self._pending_rows = 0
-        for _, fut, _, _ in pending:
-            if not fut.done():
-                fut.set_exception(RuntimeError("dispatcher closed"))
+        super().close()
         self._executor.shutdown(wait=False)
 
-    # -- sequential fallback -----------------------------------------------
-
-    async def _dispatch_sequential(
-        self, rssi: np.ndarray, trace: Trace | None
-    ) -> np.ndarray:
-        # The single-worker executor serializes requests in submission
-        # order; each request's rows stay one ordered walk.
-        self.stats.sequential_requests += 1
-        loop = asyncio.get_running_loop()
-        t_submit = time.perf_counter()
-        try:
-            result = await loop.run_in_executor(
-                self._executor, self.localizer.predict, rssi
-            )
-        except Exception:
-            self.stats.errors += 1
-            if self._m_errors is not None:
-                self._m_errors.inc()
-            raise
-        elapsed = time.perf_counter() - t_submit
-        self.stats.record_batch(1, rssi.shape[0])
-        if self._m_batch_seconds is not None:
-            self._m_batch_seconds.observe(elapsed)
-            self._m_rows.inc(rssi.shape[0])
-            self._m_batches.inc()
-        if trace is not None:
-            trace.add("compute", elapsed)
-        return result
-
-    # -- micro-batching core -----------------------------------------------
-
-    async def _enqueue(
-        self, rssi: np.ndarray, trace: Trace | None
-    ) -> np.ndarray:
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        self._pending.append((rssi, fut, trace, time.perf_counter()))
-        self._pending_rows += rssi.shape[0]
-        if self._pending_rows >= self.max_batch:
-            self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(
-                self.batch_window_ms / 1000.0, self._flush
-            )
-        return await fut
-
-    def _flush(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        batch, self._pending = self._pending, []
-        self._pending_rows = 0
-        if not batch:
-            return
-        loop = asyncio.get_running_loop()
-        t_flush = time.perf_counter()
-        for _, _, trace, t_enqueue in batch:
-            if trace is not None:
-                # Coalescing wait: enqueue until this flush fired.
-                trace.add("queue", t_flush - t_enqueue)
-        try:
-            # Raises when direct API callers coalesce inconsistent row
-            # widths; fail this batch rather than hang its futures.
-            matrix = (
-                batch[0][0]
-                if len(batch) == 1
-                else np.concatenate([rows for rows, _, _, _ in batch], axis=0)
-            )
-            job = loop.run_in_executor(self._executor, self._predict, matrix)
-        except Exception as exc:
-            self.stats.errors += len(batch)
-            if self._m_errors is not None:
-                self._m_errors.inc(len(batch))
-            for _, fut, _, _ in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
-        job.add_done_callback(
-            lambda done: self._deliver(batch, done, t_flush)
+    def _compute(self, matrix: np.ndarray) -> asyncio.Future:
+        # Submitted synchronously at flush time: the single worker runs
+        # flushes (and sequential requests) in launch order.
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, self._predict, matrix
         )
 
     def _predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Run one coalesced batch, regrouped by probed shard when possible.
+        """Run one flush, regrouped by probed shard when possible.
 
-        Models serving a sharded radio map expose ``shard_routes``; the
-        coalesced rows are then sorted by their primary probed shard and
-        the predictions scattered back to arrival order. The KNN head
-        already groups queries by probe set order-independently, so this
-        is an *observability* move, not a throughput one: it feeds the
-        ``shard_grouped_batches``/``shard_groups`` counters (how shard-
-        concentrated live traffic is — the signal for sizing ``n_probe``
-        and future shard-local model placement) and hands the model a
-        deterministic shard-major row order. Routing costs one extra
-        pass per flush: a ``(rows, n_shards)`` centroid block for KNN,
-        plus a repeated imputation for LT-KNN (its routes are defined
-        over imputed scans) — acceptable at flush granularity, but the
-        reason routing is a per-model opt-in (``shard_routes`` returning
-        ``None`` skips all of it). Because ``predict`` is
-        row-independent (the ``BatchedLocalizer`` contract), answers are
-        bit-identical to the unsorted dispatch.
+        Sequential decoders get plain ``predict`` (one request's rows,
+        one ordered walk). Models serving a sharded radio map expose
+        ``shard_routes``; the coalesced rows are then sorted by their
+        primary probed shard and the predictions scattered back to
+        arrival order. The KNN head already groups queries by probe set
+        order-independently, so this is an *observability* move, not a
+        throughput one: it feeds the ``shard_grouped_batches``/
+        ``shard_groups`` counters (how shard-concentrated live traffic
+        is — the signal for sizing ``n_probe`` and future shard-local
+        model placement) and hands the model a deterministic shard-major
+        row order. Routing costs one extra pass per flush: a
+        ``(rows, n_shards)`` centroid block for KNN, plus a repeated
+        imputation for LT-KNN (its routes are defined over imputed
+        scans) — acceptable at flush granularity, but the reason routing
+        is a per-model opt-in (``shard_routes`` returning ``None`` skips
+        all of it). Because ``predict`` is row-independent (the
+        ``BatchedLocalizer`` contract), answers are bit-identical to the
+        unsorted dispatch.
         """
-        assert isinstance(self.localizer, BatchedLocalizer)
+        if not self.batched:
+            return self.localizer.predict(matrix)
         if matrix.shape[0] > 1:
             routes = self.localizer.shard_routes(matrix)
             if routes is not None:
@@ -350,37 +420,3 @@ class BatchingDispatcher:
         return self.localizer.predict_batched(
             matrix, chunk_size=self.chunk_size
         )
-
-    def _deliver(
-        self,
-        batch: list[tuple[np.ndarray, asyncio.Future, Trace | None, float]],
-        done: asyncio.Future,
-        t_flush: float,
-    ) -> None:
-        exc = done.exception()
-        if exc is not None:
-            self.stats.errors += len(batch)
-            if self._m_errors is not None:
-                self._m_errors.inc(len(batch))
-            for _, fut, _, _ in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
-        coords = done.result()
-        elapsed = time.perf_counter() - t_flush
-        n_rows = sum(rows.shape[0] for rows, _, _, _ in batch)
-        # Counted only on success (like the sequential path), so the
-        # /healthz batch counters reflect completed work.
-        self.stats.record_batch(len(batch), n_rows)
-        if self._m_batch_seconds is not None:
-            self._m_batch_seconds.observe(elapsed)
-            self._m_rows.inc(n_rows)
-            self._m_batches.inc()
-        offset = 0
-        for rows, fut, trace, _ in batch:
-            n = rows.shape[0]
-            if trace is not None:
-                trace.add("compute", elapsed, batch_rows=n_rows)
-            if not fut.done():
-                fut.set_result(np.array(coords[offset : offset + n]))
-            offset += n

@@ -32,15 +32,10 @@ DISPATCHER_KEYS = {
 }
 ROUTING_KEYS = {"requests", "rows", "forced_rows"}
 FLEET_KEYS = {"requests", "rows", "forced_requests", "rejected_requests", "errors"}
-WORKER_KEYS = {
-    "worker", "pid", "alive", "slots", "jobs", "rows", "errors", "restarts",
-}
+WORKER_KEYS = {"worker", "pid", "alive", "slots", "jobs", "rows", "errors", "restarts"}
 EXECUTOR_KEYS = {
     0: {"mode"},
-    1: {
-        "mode", "start_method", "placement", "shared_segments",
-        "shared_bytes", "workers",
-    },
+    1: {"mode", "start_method", "placement", "shared_segments", "shared_bytes", "workers"},
 }
 
 

@@ -37,6 +37,41 @@ def _json(port, method, path, payload=None):
     return status, json.loads(data)
 
 
+def _check_traced_request(server, fleet_traffic):
+    """One traced request: every stage, slot-labelled compute, logged id.
+
+    Shared by both executors: in-process and worker-process slots run
+    the same coalescer, so their spans carry the same attributes.
+    """
+    scans = fleet_traffic[0]
+    status, body = _json(
+        server.port, "POST", "/localize_batch",
+        {
+            "rssi": scans[:4].tolist(),
+            "trace": True,
+            "request_id": "fleet-accept-1",
+        },
+    )
+    assert status == 200
+    trace = body["trace"]
+    assert trace["request_id"] == "fleet-accept-1"
+    stages = [span["stage"] for span in trace["spans"]]
+    for stage in ("admission", "routing", "queue", "compute", "scatter"):
+        assert stage in stages, f"missing {stage} in {stages}"
+    slots = {"HQ/f0", "HQ/f1", "LAB/f0", "LAB/f1"}
+    for span in trace["spans"]:
+        if span["stage"] in ("queue", "compute"):
+            assert span.get("slot") in slots, span
+
+    # The same request_id appears in the structured JSON log.
+    records = [
+        json.loads(line) for line in server.log._stream.getvalue().splitlines()
+    ]
+    matched = [r for r in records if r.get("request_id") == "fleet-accept-1"]
+    assert matched and matched[-1]["status"] == 200
+    assert matched[-1]["component"] == "fleet"
+
+
 class TestInProcessFleetObservability:
     @pytest.fixture(scope="class")
     def server(self, fleet_registry):
@@ -57,6 +92,9 @@ class TestInProcessFleetObservability:
         stages = [span["stage"] for span in body["trace"]["spans"]]
         for stage in ("admission", "routing", "queue", "compute", "scatter"):
             assert stage in stages, f"missing {stage} in {stages}"
+
+    def test_traced_request_spans_and_log(self, server, fleet_traffic):
+        _check_traced_request(server, fleet_traffic)
 
     def test_metrics_scrape_has_fleet_families(self, server, fleet_traffic):
         scans = fleet_traffic[0]
@@ -91,34 +129,7 @@ class TestWorkerFleetObservability:
         handle.shutdown()
 
     def test_traced_request_spans_log_and_metrics(self, server, fleet_traffic):
-        scans = fleet_traffic[0]
-        status, body = _json(
-            server.port, "POST", "/localize_batch",
-            {
-                "rssi": scans[:4].tolist(),
-                "trace": True,
-                "request_id": "fleet-accept-1",
-            },
-        )
-        assert status == 200
-        trace = body["trace"]
-        assert trace["request_id"] == "fleet-accept-1"
-        stages = [span["stage"] for span in trace["spans"]]
-        for stage in ("admission", "routing", "queue", "compute", "scatter"):
-            assert stage in stages, f"missing {stage} in {stages}"
-        compute = [s for s in trace["spans"] if s["stage"] == "compute"]
-        assert all("slot" in span for span in compute)
-
-        # The same request_id appears in the structured JSON log.
-        records = [
-            json.loads(line)
-            for line in server.log._stream.getvalue().splitlines()
-        ]
-        matched = [
-            r for r in records if r.get("request_id") == "fleet-accept-1"
-        ]
-        assert matched and matched[-1]["status"] == 200
-        assert matched[-1]["component"] == "fleet"
+        _check_traced_request(server, fleet_traffic)
 
         # And the scrape shows worker-side counters merged in.
         status, data = _request(server.port, "GET", "/metrics")

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -27,7 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import FleetDispatcher, WorkerCrashedError
-from repro.fleet.worker import WorkerPool
+from repro.fleet.worker import WorkerPool, _Inflight
 
 from .conftest import direct_slot_predictions
 
@@ -211,6 +212,90 @@ class TestCrashRestart:
         np.testing.assert_array_equal(
             coords, _slot_expected(fleet_registry, label, rows)
         )
+
+    def test_respawn_hands_off_past_a_closed_loop(
+        self, fleet_registry, fleet_traffic
+    ):
+        """A stranded predict whose event loop has closed must not stop
+        the reader thread from re-dispatching the predicts after it."""
+        pool = WorkerPool(fleet_registry, workers=1)
+        label = "HQ/f0"
+        scans = fleet_traffic[0][:4]
+        rows = fleet_registry.buildings[0].block(scans)
+        gone, live = asyncio.new_event_loop(), asyncio.new_event_loop()
+        try:
+            victim = pool._workers[0]
+            # Negative ids never collide with the pool's own; sorted
+            # order puts the closed loop's entry first.
+            entries = [
+                _Inflight(
+                    req_id=i - 2,
+                    worker_id=0,
+                    op="predict",
+                    label=label,
+                    future=loop.create_future(),
+                    loop=loop,
+                    scans=rows,
+                )
+                for i, loop in enumerate((gone, live))
+            ]
+            gone.close()
+            with pool._lock:
+                for entry in entries:
+                    pool._inflight[entry.req_id] = entry
+                    victim.outstanding.add(entry.req_id)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.reader.join(timeout=60.0)
+            coords = live.run_until_complete(
+                asyncio.wait_for(entries[1].future, timeout=30.0)
+            )
+            np.testing.assert_array_equal(
+                coords, _slot_expected(fleet_registry, label, scans)
+            )
+        finally:
+            live.close()
+            pool.close()
+
+    def test_close_during_respawn_stops_the_replacement(self, fleet_registry):
+        """close() landing while a crashed worker respawns must not leave
+        the replacement running outside the closed pool."""
+        pool = WorkerPool(fleet_registry, workers=1)
+        spawning, spawned = threading.Event(), []
+        spawn = pool._spawn
+
+        def slow_spawn(worker_id, labels):
+            spawned.append(spawn(worker_id, labels))
+            spawning.set()
+            time.sleep(0.3)  # close() runs before the replacement is installed
+            return spawned[-1]
+
+        pool._spawn = slow_spawn
+        victim = pool._workers[0]
+        os.kill(victim.pid, signal.SIGKILL)
+        assert spawning.wait(timeout=30.0)
+        pool.close()
+        victim.reader.join(timeout=60.0)
+        assert not victim.reader.is_alive()
+        spawned[0].process.join(timeout=10.0)
+        assert not spawned[0].process.is_alive()
+
+    def test_worker_stops_on_sigterm_despite_inherited_handler(
+        self, fleet_registry
+    ):
+        """A worker forked after the server set its SIGTERM handler (as a
+        crash respawn is) still ends on SIGTERM, so terminate() works."""
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        try:
+            pool = WorkerPool(fleet_registry, workers=1)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            worker = pool._workers[0]
+            worker.process.terminate()
+            worker.process.join(timeout=10.0)
+            assert not worker.process.is_alive()
+        finally:
+            pool.close()
 
 
 class TestRebalance:
