@@ -177,7 +177,7 @@ def main(argv=None) -> int:
             registry, batch_window_ms=1.0, workers=workers
         )
         try:
-            desc = dispatcher.describe()["executor"]
+            desc = dispatcher.describe(dispatcher.metrics.snapshot())["executor"]
             shared_bytes[workers] = int(desc["shared_bytes"])
             coords, decision = asyncio.run(
                 dispatcher.localize(identity_scans, decision=ref_decision)

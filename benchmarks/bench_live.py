@@ -53,7 +53,6 @@ from repro.eval.metrics import localization_errors
 from repro.fleet.frontend import FleetDispatcher
 from repro.fleet.experiment import fleet_epoch_traffic
 from repro.live import LiveManager
-from repro.obs import MetricsRegistry
 
 
 def build_fleet(args, *, model_dir=None):
@@ -132,10 +131,8 @@ def run_swap_arm(args, *, workers: int = 0) -> dict:
         kwargs["workers"] = workers
     shm_before = set(glob.glob("/dev/shm/repro-shm-*"))
     dispatcher = FleetDispatcher(registry, **kwargs)
-    metrics = MetricsRegistry()
-    dispatcher.bind_metrics(metrics)
+    metrics = dispatcher.metrics
     live = LiveManager(dispatcher)
-    live.bind_metrics(metrics)
 
     slot0 = registry.slot("HQ", 0)
     slot1 = registry.slot("HQ", 1)

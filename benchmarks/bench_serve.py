@@ -76,7 +76,7 @@ def run_load(localizer, scans_per_client, *, batch_window_ms, max_batch):
         dispatcher.close()
     wall = time.perf_counter() - t0
     n_requests = sum(s.shape[0] for s in scans_per_client)
-    return n_requests / wall, np.array(latencies), dispatcher.stats, answers
+    return n_requests / wall, np.array(latencies), dispatcher.stats(), answers
 
 
 def main(argv=None) -> int:
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         f"{'single-request':<24} {base_rps:>9.0f} "
         f"{np.percentile(base_lat, 50) * 1e3:>7.2f}ms "
         f"{np.percentile(base_lat, 99) * 1e3:>7.2f}ms "
-        f"{base_stats.mean_batch_rows():>10.1f}"
+        f"{base_stats['mean_batch_rows']:>10.1f}"
     )
 
     best_rps = 0.0
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
         reference = [
             entry.localizer.predict_batched(scans)
             for scans in scans_per_client
-        ] if stats.sequential_requests == 0 else None
+        ] if stats["sequential_requests"] == 0 else None
         if reference is not None:
             identical = identical and all(
                 np.array_equal(a, r) for a, r in zip(answers, reference)
@@ -182,7 +182,7 @@ def main(argv=None) -> int:
             f"{f'micro-batch {window:g}ms':<24} {rps:>9.0f} "
             f"{np.percentile(lat, 50) * 1e3:>7.2f}ms "
             f"{np.percentile(lat, 99) * 1e3:>7.2f}ms "
-            f"{stats.mean_batch_rows():>10.1f}"
+            f"{stats['mean_batch_rows']:>10.1f}"
         )
 
     speedup = best_rps / base_rps if base_rps > 0 else float("inf")

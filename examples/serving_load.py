@@ -102,7 +102,7 @@ def main() -> None:
     print(f"throughput: {total / wall:7.0f} req/s   errors: {len(errors)}")
     print(f"latency:    p50 {np.percentile(lat, 50):.2f} ms   "
           f"p99 {np.percentile(lat, 99):.2f} ms")
-    print(f"dispatcher: {server.dispatcher.stats.as_dict()}")
+    print(f"dispatcher: {server.dispatcher.stats()}")
 
     handle.shutdown()
     print("server shut down cleanly")

@@ -710,25 +710,22 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             chaos=chaos,
         )
         from .fleet.frontend import FleetDispatcher
-        from .obs import MetricsRegistry
 
-        # Own the dispatcher so its bound metrics registry survives the
-        # run: the post-run snapshot is exactly the fleet-/metrics delta
-        # a scrape pair around the load window would show.
-        metrics = MetricsRegistry()
+        # Own the dispatcher so its metrics registry survives the run:
+        # the post-run snapshot is exactly the fleet-/metrics delta a
+        # scrape pair around the load window would show.
         dispatcher = FleetDispatcher(registry, batch_window_ms=1.0)
-        dispatcher.bind_metrics(metrics)
         live = None
         if load.observe_fraction > 0 or chaos.bad_observation > 0:
             from .live import LiveManager
 
             live = LiveManager(dispatcher)
-            live.bind_metrics(metrics)
         try:
             result = run_load(registry, load, dispatcher=dispatcher, live=live)
             dispatcher.update_gauges()
-            fleet_metrics = metrics.snapshot().as_dict()
-            live_summary = live.describe() if live is not None else None
+            snapshot = dispatcher.metrics.snapshot()
+            fleet_metrics = snapshot.as_dict()
+            live_summary = live.describe(snapshot) if live is not None else None
         finally:
             if live is not None:
                 live.close()

@@ -38,9 +38,7 @@ from .experiment import (
 from .frontend import (
     FleetDispatcher,
     FleetOverloadError,
-    FleetStats,
     LocalSlotExecutor,
-    SlotCounters,
 )
 from .placement import PlacementMove, SlotPlacement
 from .registry import BuildingDeployment, FleetRegistry, FleetSlot, SlotId
@@ -59,12 +57,10 @@ __all__ = [
     "FleetRegistry",
     "FleetServer",
     "FleetSlot",
-    "FleetStats",
     "LocalSlotExecutor",
     "PlacementMove",
     "RoutingDecision",
     "ScanRouter",
-    "SlotCounters",
     "SlotId",
     "SlotPlacement",
     "WorkerCrashedError",

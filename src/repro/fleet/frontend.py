@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.trace import Trace
-from ..serve.dispatcher import BatchingDispatcher
+from ..serve.dispatcher import BatchingDispatcher, dispatch_stats
 from ..serve.protocol import MAX_BATCH_ROWS
 from .registry import FleetRegistry, FleetSlot
 from .router import RoutingDecision, ScanRouter
@@ -60,41 +59,27 @@ class FleetOverloadError(RuntimeError):
         self.max_pending_rows = max_pending_rows
 
 
-@dataclass
-class SlotCounters:
-    """Per-slot routing/traffic counters for ``/fleet`` and ``/models``."""
+def fleet_stats(snapshot: MetricsSnapshot) -> dict:
+    """The fleet-level admission/routing counts, read off ``snapshot``."""
 
-    requests: int = 0
-    rows: int = 0
-    forced_rows: int = 0
+    def count(name: str) -> int:
+        return int(snapshot.value(f"repro_fleet_{name}_total"))
 
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "rows": self.rows,
-            "forced_rows": self.forced_rows,
-        }
+    return {
+        "requests": count("requests"),
+        "rows": count("rows"),
+        "forced_requests": count("forced_requests"),
+        "rejected_requests": count("rejected"),
+        "errors": count("errors"),
+    }
 
 
-@dataclass
-class FleetStats:
-    """Fleet-level admission and routing counters."""
-
-    requests: int = 0
-    rows: int = 0
-    forced_requests: int = 0
-    rejected_requests: int = 0
-    errors: int = 0
-    per_slot: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "rows": self.rows,
-            "forced_requests": self.forced_requests,
-            "rejected_requests": self.rejected_requests,
-            "errors": self.errors,
-        }
+def routing_stats(snapshot: MetricsSnapshot, slot: str) -> dict:
+    """One slot's routed-traffic counts, read off ``snapshot``."""
+    return {
+        key: int(snapshot.value(f"repro_routing_{key}_total", slot))
+        for key in ("requests", "rows", "forced_rows")
+    }
 
 
 class LocalSlotExecutor:
@@ -104,29 +89,27 @@ class LocalSlotExecutor:
         self,
         registry: FleetRegistry,
         *,
+        metrics: MetricsRegistry,
         batch_window_ms: float = 2.0,
         max_batch: int = 256,
         chunk_size: int | None = None,
     ) -> None:
         # Kept for hot-swap: a replacement dispatcher must be built with
-        # the same micro-batching knobs and bound to the same registry.
+        # the same micro-batching knobs and record into the same
+        # registry, so the slot's counts carry across the swap.
         self._knobs = {
             "batch_window_ms": batch_window_ms,
             "max_batch": max_batch,
             "chunk_size": chunk_size,
+            "metrics": metrics,
         }
-        self._metrics: MetricsRegistry | None = None
         self._dispatchers: dict[str, BatchingDispatcher] = {
             slot.slot.label: self._build(slot.slot.label, slot.entry.localizer)
             for slot in registry.slots()
         }
 
     def _build(self, label: str, localizer) -> BatchingDispatcher:
-        dispatcher = BatchingDispatcher(localizer, **self._knobs)
-        dispatcher.slot = label
-        if self._metrics is not None:
-            dispatcher.bind_metrics(self._metrics, label)
-        return dispatcher
+        return BatchingDispatcher(localizer, slot=label, **self._knobs)
 
     async def submit(
         self, label: str, scans: np.ndarray, *, trace: Trace | None = None
@@ -147,7 +130,8 @@ class LocalSlotExecutor:
         """Atomically point a slot at a new fitted localizer.
 
         The replacement dispatcher is built warm (the localizer is
-        already fitted), metrics-bound, and installed in one loop-tick
+        already fitted), records into the same slot series, and is
+        installed in one loop-tick
         assignment — new arrivals see only one version or the other,
         never a mix. The old dispatcher then drains (every enqueued and
         in-flight request completes on the old model) before closing.
@@ -161,22 +145,14 @@ class LocalSlotExecutor:
         await old.drain()
         old.close()
 
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        self._metrics = registry
-        for label, dispatcher in self._dispatchers.items():
-            dispatcher.bind_metrics(registry, label)
-
     def close(self) -> None:
         for dispatcher in self._dispatchers.values():
             dispatcher.close()
 
-    def slot_stats(self) -> dict:
-        return {
-            label: dispatcher.stats.as_dict()
-            for label, dispatcher in self._dispatchers.items()
-        }
+    def slot_stats(self, snapshot: MetricsSnapshot) -> dict:
+        return {label: dispatch_stats(snapshot, label) for label in self._dispatchers}
 
-    def describe(self) -> dict:
+    def describe(self, snapshot: MetricsSnapshot) -> dict:
         return {"mode": "in-process"}
 
 
@@ -200,6 +176,12 @@ class FleetDispatcher:
     start_method:
         Multiprocessing start method for the worker pool; ``None``
         resolves through ``$REPRO_MP_START`` (:mod:`repro.mp`).
+
+    Every count of the fleet — admission, routing, per-slot dispatch,
+    parent-side worker and live-loop counts — lives in ``self.metrics``,
+    one fresh :class:`~repro.obs.MetricsRegistry` handed on to the slot
+    executor, the worker pool and the live manager. ``/healthz``,
+    ``/models`` and ``/fleet`` read them back from one snapshot.
     """
 
     def __init__(
@@ -221,14 +203,11 @@ class FleetDispatcher:
         self.router = ScanRouter(registry)
         self.max_pending_rows = int(max_pending_rows)
         self.workers = int(workers)
-        self.stats = FleetStats(
-            per_slot={
-                slot.slot.label: SlotCounters() for slot in registry.slots()
-            }
-        )
+        self.metrics = MetricsRegistry()
         if workers == 0:
             self._executor = LocalSlotExecutor(
                 registry,
+                metrics=self.metrics,
                 batch_window_ms=batch_window_ms,
                 max_batch=max_batch,
                 chunk_size=chunk_size,
@@ -241,75 +220,53 @@ class FleetDispatcher:
                 max_batch=max_batch,
                 chunk_size=chunk_size,
                 start_method=start_method,
+                metrics=self.metrics,
             )
         self._pending_rows = 0
         self._closed = False
-        self._metrics: MetricsRegistry | None = None
-        self._m_requests = None
-        self._m_rows = None
-        self._m_rejected = None
-        self._m_errors = None
-        self._m_routing_seconds = None
-        self._m_pending = None
-
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Record admission/routing series into ``registry``.
-
-        Also binds the slot executor (per-slot dispatch series) so one
-        call from the server instruments the whole frontend.
-        """
-        self._metrics = registry
-        self._m_requests = registry.counter(
-            "repro_fleet_requests_total",
-            "Fleet requests answered successfully.",
+        m = self.metrics
+        self._m_requests = m.counter(
+            "repro_fleet_requests_total", "Fleet requests answered successfully."
         )
-        self._m_rows = registry.counter(
-            "repro_fleet_rows_total",
-            "Scan rows answered across the fleet.",
+        self._m_rows = m.counter(
+            "repro_fleet_rows_total", "Scan rows answered across the fleet."
         )
-        self._m_rejected = registry.counter(
-            "repro_fleet_rejected_total",
-            "Requests refused at admission (HTTP 429).",
+        self._m_forced = m.counter(
+            "repro_fleet_forced_requests_total",
+            "Fleet requests answered with pinned (forced) routing.",
         )
-        self._m_errors = registry.counter(
-            "repro_fleet_errors_total",
-            "Fleet requests failed after admission.",
+        self._m_rejected = m.counter(
+            "repro_fleet_rejected_total", "Requests refused at admission (HTTP 429)."
         )
-        self._m_routing_seconds = registry.histogram(
-            "repro_routing_seconds",
-            "Building/floor classification time per request.",
+        self._m_errors = m.counter(
+            "repro_fleet_errors_total", "Fleet requests failed after admission."
         )
-        self._m_pending = registry.gauge(
+        self._m_routing_seconds = m.histogram(
+            "repro_routing_seconds", "Building/floor classification time per request."
+        )
+        self._m_pending = m.gauge(
             "repro_fleet_pending_rows",
             "Rows admitted and not yet answered (queue depth).",
         )
-        self._executor.bind_metrics(registry)
+        self._m_slot_requests = m.counter(
+            "repro_routing_requests_total",
+            "Slot batches answered (one per slot a request touched), by slot.",
+            ("slot",),
+        )
+        self._m_slot_rows = m.counter(
+            "repro_routing_rows_total", "Scan rows answered, by slot.", ("slot",)
+        )
+        self._m_slot_forced_rows = m.counter(
+            "repro_routing_forced_rows_total",
+            "Scan rows answered under pinned routing, by slot.",
+            ("slot",),
+        )
 
     def update_gauges(self) -> None:
         """Refresh scrape-time gauges (queue depth, worker liveness)."""
-        if self._metrics is None:
-            return
         self._m_pending.set(self._pending_rows)
         if isinstance(self._executor, WorkerPool):
-            alive = self._metrics.gauge(
-                "repro_fleet_workers_alive",
-                "Worker processes currently alive.",
-            )
-            jobs = self._metrics.gauge(
-                "repro_worker_jobs",
-                "Predict ops answered by each worker (parent view).",
-                ("worker",),
-            )
-            restarts = self._metrics.gauge(
-                "repro_worker_restarts",
-                "Crash respawns of each worker slot.",
-                ("worker",),
-            )
-            stats = self._executor.worker_stats()
-            alive.set(sum(1 for w in stats if w["alive"]))
-            for w in stats:
-                jobs.labels(str(w["worker"])).set(w["jobs"])
-                restarts.labels(str(w["worker"])).set(w["restarts"])
+            self._executor.update_gauges()
 
     async def collect_worker_metrics(self) -> list[MetricsSnapshot]:
         """Worker-process metric snapshots (empty for in-process mode)."""
@@ -317,11 +274,11 @@ class FleetDispatcher:
             return await self._executor.collect_metrics()
         return []
 
-    def worker_liveness(self) -> dict:
+    def worker_liveness(self, snapshot: MetricsSnapshot) -> dict:
         """Compact worker summary for ``/healthz`` probes."""
         if not isinstance(self._executor, WorkerPool):
             return {"mode": "in-process"}
-        stats = self._executor.worker_stats()
+        stats = self._executor.worker_stats(snapshot)
         return {
             "mode": "multi-process",
             "workers": len(stats),
@@ -382,9 +339,7 @@ class FleetDispatcher:
         # event loop this is atomic, so concurrent requests can never
         # jointly overshoot the bound.
         if self._pending_rows + n > self.max_pending_rows:
-            self.stats.rejected_requests += 1
-            if self._m_rejected is not None:
-                self._m_rejected.inc()
+            self._m_rejected.inc()
             raise FleetOverloadError(self._pending_rows, self.max_pending_rows, n)
         self._pending_rows += n
         if trace is not None:
@@ -413,8 +368,7 @@ class FleetDispatcher:
                         None, self.router.route, scans
                     )
             routing_elapsed = time.perf_counter() - t_route
-            if self._m_routing_seconds is not None:
-                self._m_routing_seconds.observe(routing_elapsed)
+            self._m_routing_seconds.observe(routing_elapsed)
             if trace is not None:
                 trace.add("routing", routing_elapsed)
             groups = self.router.group_rows(decision)
@@ -430,11 +384,10 @@ class FleetDispatcher:
                 coords[rows] = await self._executor.submit(
                     label, block, trace=trace
                 )
-                counters = self.stats.per_slot[label]
-                counters.requests += 1
-                counters.rows += rows.shape[0]
+                self._m_slot_requests.labels(label).inc()
+                self._m_slot_rows.labels(label).inc(rows.shape[0])
                 if decision.forced:
-                    counters.forced_rows += rows.shape[0]
+                    self._m_slot_forced_rows.labels(label).inc(rows.shape[0])
 
             # return_exceptions so every slot batch finishes before the
             # admission reservation is released in the finally below —
@@ -446,9 +399,7 @@ class FleetDispatcher:
             )
             errors = [r for r in results if isinstance(r, BaseException)]
             if errors:
-                self.stats.errors += 1
-                if self._m_errors is not None:
-                    self._m_errors.inc()
+                self._m_errors.inc()
                 raise errors[0]
             if trace is not None:
                 # Scatter-back: slot answers landed in `coords` as each
@@ -460,13 +411,10 @@ class FleetDispatcher:
                 )
         finally:
             self._pending_rows -= n
-        self.stats.requests += 1
-        self.stats.rows += n
-        if self._m_requests is not None:
-            self._m_requests.inc()
-            self._m_rows.inc(n)
+        self._m_requests.inc()
+        self._m_rows.inc(n)
         if decision.forced:
-            self.stats.forced_requests += 1
+            self._m_forced.inc()
         return coords, decision
 
     # -- topology ----------------------------------------------------------
@@ -528,25 +476,29 @@ class FleetDispatcher:
 
     # -- introspection -----------------------------------------------------
 
-    def slot_stats(self) -> dict:
+    def slot_stats(self, snapshot: MetricsSnapshot) -> dict:
         """Per-slot dispatcher + routing counters, keyed by slot label."""
-        executor_stats = self._executor.slot_stats()
+        executor_stats = self._executor.slot_stats(snapshot)
         return {
             label: {
-                "routing": self.stats.per_slot[label].as_dict(),
+                "routing": routing_stats(snapshot, label),
                 "dispatcher": executor_stats[label],
             }
             for label in executor_stats
         }
 
-    def describe(self) -> dict:
-        """JSON-ready dispatch state for ``/fleet`` and ``/healthz``."""
+    def admission(self) -> dict:
+        """The admission bound and the rows currently held against it."""
         return {
-            "admission": {
-                "max_pending_rows": self.max_pending_rows,
-                "pending_rows": self._pending_rows,
-            },
-            "fleet": self.stats.as_dict(),
-            "executor": self._executor.describe(),
-            "slots": self.slot_stats(),
+            "max_pending_rows": self.max_pending_rows,
+            "pending_rows": self._pending_rows,
+        }
+
+    def describe(self, snapshot: MetricsSnapshot) -> dict:
+        """JSON-ready dispatch state for ``/fleet``; counts from ``snapshot``."""
+        return {
+            "admission": self.admission(),
+            "fleet": fleet_stats(snapshot),
+            "executor": self._executor.describe(snapshot),
+            "slots": self.slot_stats(snapshot),
         }

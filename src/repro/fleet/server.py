@@ -29,7 +29,7 @@ is **503** (retryable — the slot respawns warm from the shared store).
 from __future__ import annotations
 
 from ..live import LiveManager
-from ..obs import MetricsRegistry, MetricsSnapshot
+from ..obs import MetricsSnapshot
 from ..serve.protocol import (
     API_VERSION,
     RequestContext,
@@ -45,7 +45,7 @@ from ..serve.protocol import (
     wants_trace,
 )
 from ..serve.server import JsonHttpServer, _repro_version
-from .frontend import FleetDispatcher, FleetOverloadError
+from .frontend import FleetDispatcher, FleetOverloadError, fleet_stats
 from .registry import FleetRegistry
 from .router import RoutingDecision
 from .worker import WorkerCrashedError
@@ -60,12 +60,14 @@ class FleetServer(JsonHttpServer):
         The fitted fleet and its admission-bounded dispatcher.
     host / port:
         Bind address (see :class:`~repro.serve.server.JsonHttpServer`).
-    metrics / log_json / slow_ms:
+    log_json / slow_ms:
         Observability knobs (see
         :class:`~repro.serve.server.JsonHttpServer`). ``/metrics``
-        scrapes merge every worker process's snapshot into the serving
-        process's registry, so per-slot in-worker latency is visible
-        from one endpoint.
+        scrapes the dispatcher's registry merged with every worker
+        process's snapshot, so per-slot in-worker latency is visible
+        from one endpoint. Every count in ``/healthz``, ``/models`` and
+        ``/fleet`` is read from one snapshot of the dispatcher's
+        registry.
     live:
         The :class:`~repro.live.LiveManager` behind ``POST /observe``.
         One with the default (inert-until-buffer-full) policy is
@@ -82,20 +84,17 @@ class FleetServer(JsonHttpServer):
         *,
         host: str = "127.0.0.1",
         port: int = 8000,
-        metrics: MetricsRegistry | None = None,
         log_json: bool = False,
         slow_ms: float | None = None,
         live: LiveManager | None = None,
     ) -> None:
         super().__init__(
-            host=host, port=port, metrics=metrics,
+            host=host, port=port, metrics=dispatcher.metrics,
             log_json=log_json, slow_ms=slow_ms,
         )
         self.registry = registry
         self.dispatcher = dispatcher
         self.live = live if live is not None else LiveManager(dispatcher)
-        dispatcher.bind_metrics(self.metrics)
-        self.live.bind_metrics(self.metrics)
 
     async def _collect_metrics(self) -> MetricsSnapshot:
         """Parent registry + every worker's snapshot, freshly merged.
@@ -206,7 +205,7 @@ class FleetServer(JsonHttpServer):
         raise RequestError(f"unknown endpoint {path!r}", status=404)
 
     def _healthz(self) -> dict:
-        stats = self.dispatcher.describe()
+        snapshot = self.metrics.snapshot()
         return {
             "status": "ok",
             "api_version": API_VERSION,
@@ -216,15 +215,16 @@ class FleetServer(JsonHttpServer):
             "n_slots": self.registry.n_slots,
             "n_aps": self.registry.n_aps,
             "uptime_seconds": self.uptime_seconds(),
-            "requests_served": self.requests_served,
-            "admission": stats["admission"],
-            "fleet": stats["fleet"],
-            "workers": self.dispatcher.worker_liveness(),
+            "requests_served": int(snapshot.total("repro_http_requests_total")),
+            "admission": self.dispatcher.admission(),
+            "fleet": fleet_stats(snapshot),
+            "workers": self.dispatcher.worker_liveness(snapshot),
         }
 
     def _models(self) -> dict:
+        snapshot = self.metrics.snapshot()
         payload = self.registry.store.describe()
-        slot_stats = self.dispatcher.slot_stats()
+        slot_stats = self.dispatcher.slot_stats(snapshot)
         # Live version fields: which store digest each slot is serving
         # right now, and how many times it has been (re)bound.
         for slot in self.registry.slots():
@@ -233,19 +233,20 @@ class FleetServer(JsonHttpServer):
                 stats["version"] = slot.version
                 stats["digest"] = slot.entry.key.digest[:16]
         payload["slots"] = slot_stats
-        payload["fleet"] = self.dispatcher.stats.as_dict()
-        payload["live"] = self.live.describe()
+        payload["fleet"] = fleet_stats(snapshot)
+        payload["live"] = self.live.describe(snapshot)
         # Multi-process fleets surface per-worker process stats; the
         # in-process executor reports its mode with no worker table.
-        executor = self.dispatcher.executor.describe()
+        executor = self.dispatcher.executor.describe(snapshot)
         payload["executor_mode"] = executor["mode"]
         payload["workers"] = executor.get("workers", [])
         return payload
 
     def _fleet(self) -> dict:
+        snapshot = self.metrics.snapshot()
         payload = self.registry.describe()
-        payload["dispatch"] = self.dispatcher.describe()
-        payload["live"] = self.live.describe()
+        payload["dispatch"] = self.dispatcher.describe(snapshot)
+        payload["live"] = self.live.describe(snapshot)
         return payload
 
     # -- lifecycle ---------------------------------------------------------

@@ -65,7 +65,7 @@ from ..kernels import (
 from ..mp import mp_context
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.trace import Trace
-from ..serve.dispatcher import Coalescer
+from ..serve.dispatcher import Coalescer, dispatch_stats
 from .placement import SlotPlacement, VNODES
 from .registry import FleetRegistry, FleetSlot
 
@@ -422,10 +422,6 @@ class _Worker:
     conn: object
     send_lock: threading.Lock = field(default_factory=threading.Lock)
     pid: int = 0
-    restarts: int = 0
-    jobs: int = 0
-    rows: int = 0
-    errors: int = 0
     outstanding: set = field(default_factory=set)
     reader: threading.Thread | None = None
     retired: bool = False
@@ -458,6 +454,10 @@ class WorkerPool:
         ``$REPRO_MP_START`` then the platform default (:mod:`repro.mp`).
     vnodes:
         Consistent-hash ring density (testing knob).
+    metrics:
+        The registry the per-slot dispatch series and the parent-side
+        per-worker counts (jobs, rows, errors, restarts) record into; a
+        fresh one when not supplied.
     """
 
     def __init__(
@@ -470,10 +470,32 @@ class WorkerPool:
         chunk_size: int | None = None,
         start_method: str | None = None,
         vnodes: int = VNODES,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.chunk_size = chunk_size
+        self.metrics = m = metrics if metrics is not None else MetricsRegistry()
+        # Parent-side per-worker counts, keyed by worker id: a warm
+        # respawn keeps counting in its predecessor's series.
+        by_worker = ("worker",)
+        self._m_jobs = m.gauge(
+            "repro_worker_jobs", "Predict ops answered by each worker (parent view).", by_worker
+        )
+        self._m_rows = m.counter(
+            "repro_worker_job_rows_total",
+            "Scan rows answered by each worker (parent view).",
+            by_worker,
+        )
+        self._m_errors = m.counter(
+            "repro_worker_job_errors_total",
+            "Predict ops failed by each worker (parent view).",
+            by_worker,
+        )
+        self._m_restarts = m.gauge(
+            "repro_worker_restarts", "Crash respawns of each worker slot.", by_worker
+        )
+        self._m_alive = m.gauge("repro_fleet_workers_alive", "Worker processes currently alive.")
         self._ctx = mp_context(start_method)
         self._vnodes = int(vnodes)
         self._regions: list[SharedArtifactRegion] = []
@@ -497,6 +519,7 @@ class WorkerPool:
             label: Coalescer(
                 functools.partial(self._compute, label),
                 batched=payload.batched,
+                metrics=self.metrics,
                 batch_window_ms=batch_window_ms,
                 max_batch=max_batch,
                 slot=label,
@@ -520,6 +543,10 @@ class WorkerPool:
     # -- process lifecycle -------------------------------------------------
 
     def _spawn(self, worker_id: int, labels: list[str]) -> _Worker:
+        # Create the per-worker series at 0, so an idle or never-crashed
+        # worker is scraped too and an ``increase()`` sees its first event.
+        for family in (self._m_jobs, self._m_rows, self._m_errors, self._m_restarts):
+            family.labels(str(worker_id))
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
@@ -587,7 +614,7 @@ class WorkerPool:
         # A retiree crashing mid-drain needs no respawn: its slots
         # already rehomed, so stranded batches retry on the new owners.
         if not worker.retired:
-            worker.restarts += 1
+            self._m_restarts.labels(str(worker.id)).inc()
             try:
                 # Warm respawn: the payload bundle (pickles + shared-
                 # memory handles) is retained parent-side and the
@@ -600,10 +627,6 @@ class WorkerPool:
                     if owner == worker.id
                 ]
                 replacement = self._spawn(worker.id, labels)
-                replacement.restarts = worker.restarts
-                replacement.jobs = worker.jobs
-                replacement.rows = worker.rows
-                replacement.errors = worker.errors
             except Exception:
                 self._retry_or_fail(worker.id, stranded, retry=False)
                 return
@@ -675,12 +698,13 @@ class WorkerPool:
             worker = self._workers.get(entry.worker_id)
             if worker is not None:
                 worker.outstanding.discard(req_id)
-                if entry.op == "predict":
-                    if ok:
-                        worker.jobs += 1
-                        worker.rows += int(entry.scans.shape[0])
-                    else:
-                        worker.errors += 1
+        if entry.op == "predict":
+            wid = str(entry.worker_id)
+            if ok:
+                self._m_jobs.labels(wid).inc()
+                self._m_rows.labels(wid).inc(entry.scans.shape[0])
+            else:
+                self._m_errors.labels(wid).inc()
         if ok:
             _call_threadsafe(entry.loop, self._succeed, entry, value)
         else:
@@ -755,10 +779,9 @@ class WorkerPool:
 
     # -- public surface (the slot-executor seam) ---------------------------
 
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Record parent-side per-slot dispatch series into ``registry``."""
-        for label, coalescer in self._coalescers.items():
-            coalescer.bind_metrics(registry, label)
+    def update_gauges(self) -> None:
+        """Refresh the scrape-time worker-liveness gauge."""
+        self._m_alive.set(sum(w.process.is_alive() for w in self._workers.values()))
 
     async def collect_metrics(self) -> list[MetricsSnapshot]:
         """Every live worker's metrics snapshot (crashed workers skipped).
@@ -978,23 +1001,23 @@ class WorkerPool:
 
     # -- introspection -----------------------------------------------------
 
-    def slot_stats(self) -> dict:
-        """Per-slot coalescer counters plus each slot's owning worker.
+    def slot_stats(self, snapshot: MetricsSnapshot) -> dict:
+        """Per-slot dispatch counters plus each slot's owning worker.
 
         No shard-regroup keys: the workers never regroup flushes.
         """
         out = {}
-        for label, coalescer in self._coalescers.items():
-            stats = coalescer.stats.as_dict()
+        for label in self._coalescers:
+            stats = dispatch_stats(snapshot, label)
             del stats["shard_grouped_batches"], stats["shard_groups"]
             out[label] = {**stats, "worker": self._owner[label]}
         return out
 
-    def worker_stats(self) -> list[dict]:
+    def worker_stats(self, snapshot: MetricsSnapshot) -> list[dict]:
         """Per-worker process facts for ``/models`` and ``/fleet``."""
         out = []
         for worker_id in sorted(self._workers):
-            worker = self._workers[worker_id]
+            worker, wid = self._workers[worker_id], str(worker_id)
             out.append(
                 {
                     "worker": worker_id,
@@ -1005,15 +1028,15 @@ class WorkerPool:
                         for label, owner in self._owner.items()
                         if owner == worker_id
                     ),
-                    "jobs": worker.jobs,
-                    "rows": worker.rows,
-                    "errors": worker.errors,
-                    "restarts": worker.restarts,
+                    "jobs": int(snapshot.value("repro_worker_jobs", wid)),
+                    "rows": int(snapshot.value("repro_worker_job_rows_total", wid)),
+                    "errors": int(snapshot.value("repro_worker_job_errors_total", wid)),
+                    "restarts": int(snapshot.value("repro_worker_restarts", wid)),
                 }
             )
         return out
 
-    def describe(self) -> dict:
+    def describe(self, snapshot: MetricsSnapshot) -> dict:
         """JSON-ready executor state for ``/fleet``."""
         return {
             "mode": "multi-process",
@@ -1021,5 +1044,5 @@ class WorkerPool:
             "placement": self._placement.describe(),
             "shared_segments": len(self._regions),
             "shared_bytes": int(sum(r.nbytes for r in self._regions)),
-            "workers": self.worker_stats(),
+            "workers": self.worker_stats(snapshot),
         }

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsSnapshot
 from .buffer import ObservationBuffer
 from .policy import DriftPolicy, drift_score
 from .refit import refit_slot
@@ -32,29 +32,30 @@ from .refit import refit_slot
 
 @dataclass
 class SlotLiveState:
-    """Per-slot live bookkeeping surfaced on ``/fleet`` and ``/metrics``."""
+    """Per-slot live state that is not a count (counts live in the registry)."""
 
     buffer: ObservationBuffer
-    observations: int = 0
     drift_score_m: float | None = None
-    refits: int = 0
-    swaps: int = 0
     last_reason: str | None = None
     refit_inflight: bool = False
-    errors: int = 0
 
-    def describe(self) -> dict:
+    def describe(self, snapshot: MetricsSnapshot, label: str) -> dict:
+        """This slot's ``/fleet`` live entry; counts read off ``snapshot``."""
+
+        def count(name: str) -> int:
+            return int(snapshot.value(f"repro_live_{name}_total", label))
+
         return {
             "buffered": self.buffer.n_rows,
-            "observations": self.observations,
+            "observations": count("observations"),
             "drift_score_m": (
                 round(self.drift_score_m, 3) if self.drift_score_m is not None else None
             ),
-            "refits": self.refits,
-            "swaps": self.swaps,
+            "refits": count("refits"),
+            "swaps": count("swaps"),
             "last_reason": self.last_reason,
             "refit_inflight": self.refit_inflight,
-            "errors": self.errors,
+            "errors": count("refit_errors"),
         }
 
 
@@ -66,7 +67,8 @@ class LiveManager:
     dispatcher:
         The :class:`~repro.fleet.frontend.FleetDispatcher` serving the
         fleet; swaps go through its executor-independent
-        ``swap_slot``.
+        ``swap_slot``, and the live counts record into its
+        ``metrics`` registry.
     policy:
         The :class:`DriftPolicy`.  The all-default policy only refits
         on a full buffer, so a fleet that never sees ``/observe``
@@ -108,44 +110,30 @@ class LiveManager:
         )
         self._tasks: set[asyncio.Task] = set()
         self._closed = False
-        # Bound metric families (bind_metrics); None = not recording.
-        self._m_observations = None
-        self._m_buffered = None
-        self._m_drift = None
-        self._m_refits = None
-        self._m_swaps = None
-        self._m_swap_seconds = None
-
-    # -- metrics -----------------------------------------------------------
-
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        self._m_observations = registry.counter(
-            "repro_live_observations_total",
-            "Labeled observation rows ingested, by slot.",
-            ("slot",),
+        m = dispatcher.metrics
+        by_slot = ("slot",)
+        self._m_observations = m.counter(
+            "repro_live_observations_total", "Labeled observation rows ingested, by slot.", by_slot
         )
-        self._m_buffered = registry.gauge(
-            "repro_live_buffered_scans",
-            "Observation rows currently buffered, by slot.",
-            ("slot",),
+        self._m_buffered = m.gauge(
+            "repro_live_buffered_scans", "Observation rows currently buffered, by slot.", by_slot
         )
-        self._m_drift = registry.gauge(
+        self._m_drift = m.gauge(
             "repro_live_drift_score_m",
             "Latest drift score (mean error, meters) of the buffered "
             "observations under the slot's serving model.",
-            ("slot",),
+            by_slot,
         )
-        self._m_refits = registry.counter(
-            "repro_live_refits_total",
-            "Background refits completed, by slot.",
-            ("slot",),
+        self._m_refits = m.counter(
+            "repro_live_refits_total", "Background refits completed, by slot.", by_slot
         )
-        self._m_swaps = registry.counter(
-            "repro_live_swaps_total",
-            "Model hot-swaps completed, by slot.",
-            ("slot",),
+        self._m_refit_errors = m.counter(
+            "repro_live_refit_errors_total", "Refits or hot-swaps that raised, by slot.", by_slot
         )
-        self._m_swap_seconds = registry.histogram(
+        self._m_swaps = m.counter(
+            "repro_live_swaps_total", "Model hot-swaps completed, by slot.", by_slot
+        )
+        self._m_swap_seconds = m.histogram(
             "repro_live_swap_seconds",
             "Hot-swap latency (executor flip through registry rebind).",
         )
@@ -209,11 +197,9 @@ class LiveManager:
         appended = await loop.run_in_executor(
             None, state.buffer.append, block, np.asarray(locations, dtype=np.float64)
         )
-        state.observations += appended
         label = slot.slot.label
-        if self._m_observations is not None:
-            self._m_observations.labels(label).inc(appended)
-            self._m_buffered.labels(label).set(state.buffer.n_rows)
+        self._m_observations.labels(label).inc(appended)
+        self._m_buffered.labels(label).set(state.buffer.n_rows)
         self._spawn_maybe_refit(building, floor)
         return {
             "slot": label,
@@ -250,8 +236,7 @@ class LiveManager:
                 None, drift_score, slot.entry.localizer, rssi, xy
             )
             state.drift_score_m = score
-            if self._m_drift is not None:
-                self._m_drift.labels(label).set(score)
+            self._m_drift.labels(label).set(score)
         should, reason = self.policy.decision(
             n_rows, state.buffer.age_s(), score
         )
@@ -296,44 +281,41 @@ class LiveManager:
                     self.registry.store, slot, rssi, xy, content_hash=content_hash
                 ),
             )
-            state.refits += 1
-            if self._m_refits is not None:
-                self._m_refits.labels(label).inc()
+            self._m_refits.labels(label).inc()
             t_swap = time.perf_counter()
             summary = await self.dispatcher.swap_slot(
                 building, floor, entry=result.entry, suite=result.suite
             )
             swap_elapsed = time.perf_counter() - t_swap
-            state.swaps += 1
             state.last_reason = reason
-            if self._m_swaps is not None:
-                self._m_swaps.labels(label).inc()
-                self._m_swap_seconds.observe(swap_elapsed)
+            self._m_swaps.labels(label).inc()
+            self._m_swap_seconds.observe(swap_elapsed)
             # Only the consumed rows clear; observations that arrived
             # mid-refit stay as evidence for the next cycle.
             state.buffer.clear_rows(n_used)
             state.drift_score_m = None
-            if self._m_buffered is not None:
-                self._m_buffered.labels(label).set(state.buffer.n_rows)
+            self._m_buffered.labels(label).set(state.buffer.n_rows)
             return {
                 **summary,
                 "reason": reason,
                 "refit": result.describe(),
             }
         except Exception:
-            state.errors += 1
+            self._m_refit_errors.labels(label).inc()
             raise
         finally:
             state.refit_inflight = False
 
     # -- introspection / lifecycle -----------------------------------------
 
-    def describe(self) -> dict:
+    def describe(self, snapshot: MetricsSnapshot) -> dict:
+        """The ``live`` section of ``/models`` and ``/fleet``."""
         return {
             "policy": self.policy.to_dict(),
             "buffer_dir": str(self.buffer_dir),
             "slots": {
-                label: state.describe() for label, state in self._states.items()
+                label: state.describe(snapshot, label)
+                for label, state in self._states.items()
             },
         }
 

@@ -82,19 +82,22 @@ class JsonLogger:
         request_id: str,
         endpoint: str,
         status: int,
-        duration_ms: float,
+        duration_ms: float | None,
         **fields,
     ) -> None:
         """One served request, subject to the slow-request sampler.
 
         Errors (status >= 400) always log; successes log when no
         ``slow_ms`` threshold is set or the request met it.
+        ``duration_ms=None`` (no handling time was measured) logs as
+        ``null``.
         """
         if not self.enabled:
             return
         if (
             status < 400
             and self.slow_ms is not None
+            and duration_ms is not None
             and duration_ms < self.slow_ms
         ):
             return
@@ -103,7 +106,7 @@ class JsonLogger:
             request_id=request_id,
             endpoint=endpoint,
             status=int(status),
-            duration_ms=round(duration_ms, 3),
+            duration_ms=None if duration_ms is None else round(duration_ms, 3),
             **fields,
         )
 

@@ -77,17 +77,10 @@ class _NoopChild:
 
     __slots__ = ()
 
-    def inc(self, amount: float = 1.0) -> None:
+    def _record(self, value: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
+    inc = dec = set = set_max = observe = _record
 
 
 _NOOP_CHILD = _NoopChild()
@@ -121,6 +114,11 @@ class _GaugeChild:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = float(value)
+
+    def set_max(self, value: float) -> None:
+        """Raise the value to ``value`` if it is larger (a high-water mark)."""
+        with self._lock:
+            self.value = max(self.value, float(value))
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
@@ -392,6 +390,16 @@ class MetricsSnapshot:
                 else:
                     children[key] = held + value
         return self
+
+    def value(self, name: str, *labels: str) -> float:
+        """One counter/gauge series; ``0.0`` until it has been recorded."""
+        family = self.metrics.get(name)
+        return 0.0 if family is None else family["children"].get(tuple(labels), 0.0)
+
+    def total(self, name: str) -> float:
+        """A counter/gauge family summed over all its series."""
+        family = self.metrics.get(name)
+        return 0.0 if family is None else sum(family["children"].values())
 
     def as_dict(self) -> dict:
         """JSON-ready view: label values joined into ``a="x",b="y"`` keys."""

@@ -21,7 +21,7 @@ See ``docs/api.md`` for the JSON request/response schemas and
 ``docs/architecture.md`` for where this layer sits in the stack.
 """
 
-from .dispatcher import BatchingDispatcher, Coalescer, DispatchStats
+from .dispatcher import BatchingDispatcher, Coalescer, dispatch_stats
 from .protocol import (
     API_VERSION,
     MAX_BATCH_ROWS,
@@ -38,7 +38,6 @@ __all__ = [
     "API_VERSION",
     "BatchingDispatcher",
     "Coalescer",
-    "DispatchStats",
     "ModelKey",
     "ModelStore",
     "StoreEntry",
@@ -49,6 +48,7 @@ __all__ = [
     "RequestError",
     "MAX_BATCH_ROWS",
     "as_scan_matrix",
+    "dispatch_stats",
     "parse_localize",
     "parse_localize_batch",
 ]

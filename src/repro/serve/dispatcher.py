@@ -41,12 +41,11 @@ import asyncio
 import time
 from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..baselines.base import BatchedLocalizer, Localizer
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.trace import Trace
 
 #: An async compute sink: one coalesced ``(n, n_aps)`` matrix in, its
@@ -57,45 +56,30 @@ Sink = Callable[[np.ndarray], Awaitable[np.ndarray]]
 _Entry = tuple[np.ndarray, asyncio.Future, Trace | None, float]
 
 
-@dataclass
-class DispatchStats:
-    """Counters the health/models endpoints surface."""
+def dispatch_stats(snapshot: MetricsSnapshot, slot: str) -> dict:
+    """One slot's ``dispatcher`` JSON section, read off a registry snapshot.
 
-    requests: int = 0
-    rows: int = 0
-    batches: int = 0
-    max_batch_rows: int = 0
-    sequential_requests: int = 0
-    errors: int = 0
-    #: Flushes whose rows were regrouped by probed shard before
-    #: inference (only happens for models with a sharded index).
-    shard_grouped_batches: int = 0
-    #: Total distinct probed shards across those regrouped flushes.
-    shard_groups: int = 0
+    Every count is a ``repro_dispatch_*{slot}`` series, so the JSON
+    endpoints and ``/metrics`` cannot disagree, and a slot's counts
+    survive a hot-swap of its dispatcher.
+    """
 
-    def record_batch(self, n_rows: int) -> None:
-        """Account one completed flush of ``n_rows`` rows."""
-        self.batches += 1
-        self.rows += n_rows
-        self.max_batch_rows = max(self.max_batch_rows, n_rows)
+    def count(name: str) -> int:
+        return int(snapshot.value(f"repro_dispatch_{name}", slot))
 
-    def mean_batch_rows(self) -> float:
-        """Average coalesced rows per dispatch (1.0 = no coalescing)."""
-        return self.rows / self.batches if self.batches else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot."""
-        return {
-            "requests": self.requests,
-            "rows": self.rows,
-            "batches": self.batches,
-            "mean_batch_rows": round(self.mean_batch_rows(), 2),
-            "max_batch_rows": self.max_batch_rows,
-            "sequential_requests": self.sequential_requests,
-            "errors": self.errors,
-            "shard_grouped_batches": self.shard_grouped_batches,
-            "shard_groups": self.shard_groups,
-        }
+    rows, batches = count("rows_total"), count("batches_total")
+    return {
+        "requests": count("requests_total"),
+        "rows": rows,
+        "batches": batches,
+        # Average coalesced rows per dispatch (1.0 = no coalescing).
+        "mean_batch_rows": round(rows / batches if batches else 0.0, 2),
+        "max_batch_rows": count("max_batch_rows"),
+        "sequential_requests": count("sequential_requests_total"),
+        "errors": count("errors_total"),
+        "shard_grouped_batches": count("shard_grouped_batches_total"),
+        "shard_groups": count("shard_groups_total"),
+    }
 
 
 class Coalescer:
@@ -105,6 +89,11 @@ class Coalescer:
     ----------
     sink:
         The async compute sink every flush goes to.
+    metrics:
+        The registry this coalescer's ``repro_dispatch_*`` counters and
+        ``repro_batch_compute_seconds`` record into, under its slot
+        label. Coalescers sharing a registry and a slot share the
+        series: a hot-swapped slot keeps counting where it left off.
     batched:
         ``True`` for batch-safe models (micro-batching); ``False`` for
         sequential decoders (ordered per-request dispatch).
@@ -118,8 +107,10 @@ class Coalescer:
         stale the window can let a batch get; does not split a single
         larger-than-``max_batch`` request.
     slot:
-        Labels this coalescer's ``queue``/``compute`` trace spans (fleet
-        slots); ``None`` leaves them unlabeled.
+        Labels this coalescer's ``queue``/``compute`` trace spans and
+        its metric series (fleet slots); ``None`` leaves the spans
+        unlabeled and labels the series ``"_"`` (the single-model
+        server).
     """
 
     def __init__(
@@ -127,6 +118,7 @@ class Coalescer:
         sink: Sink,
         *,
         batched: bool,
+        metrics: MetricsRegistry,
         batch_window_ms: float = 2.0,
         max_batch: int = 256,
         slot: str | None = None,
@@ -139,7 +131,9 @@ class Coalescer:
         self.batch_window_ms = float(batch_window_ms)
         self.max_batch = int(max_batch)
         self.slot = slot
-        self.stats = DispatchStats()
+        self.metrics = metrics
+        #: The ``slot`` label of this coalescer's metric series.
+        self.label = "_" if slot is None else slot
         self._sink = sink
         self._pending: list[_Entry] = []
         self._pending_rows = 0
@@ -147,42 +141,34 @@ class Coalescer:
         #: Sink calls launched and not yet delivered (what drain awaits).
         self._inflight: set[asyncio.Future] = set()
         self._closed = False
-        # Bound metric children (bind_metrics); None = not recording.
-        self._m_batch_seconds = None
-        self._m_rows = None
-        self._m_batches = None
-        self._m_errors = None
+        # ``repro_batch_compute_seconds`` times the whole sink call: for
+        # the worker sink that includes the pipe round trip (the
+        # in-worker share is ``repro_worker_predict_seconds``).
+        self._m_batch_seconds = metrics.histogram(
+            "repro_batch_compute_seconds", "Coalesced-batch inference time, by slot.", ("slot",)
+        ).labels(self.label)
+        self._m_max_rows = metrics.gauge(
+            "repro_dispatch_max_batch_rows",
+            "Largest coalesced flush so far, in rows, by slot.",
+            ("slot",),
+        ).labels(self.label)
+        self._m_requests = self._counter("requests", "Requests submitted to the dispatcher")
+        self._m_sequential = self._counter(
+            "sequential_requests", "Requests dispatched alone (sequential models)"
+        )
+        self._m_rows = self._counter("rows", "Scan rows resolved through the dispatcher")
+        self._m_batches = self._counter("batches", "Coalesced flushes dispatched")
+        self._m_errors = self._counter("errors", "Requests failed inside dispatch")
 
-    def bind_metrics(self, registry: MetricsRegistry, slot: str = "_") -> None:
-        """Record per-flush counters/latency into ``registry``.
+    def _counter(self, name: str, help: str):  # noqa: A002
+        """This coalescer's series of counter ``repro_dispatch_<name>_total``."""
+        return self.metrics.counter(
+            f"repro_dispatch_{name}_total", f"{help}, by slot.", ("slot",)
+        ).labels(self.label)
 
-        ``slot`` labels the series (fleet servers run one coalescer per
-        deployment slot; the single-model server uses ``"_"``). Families
-        are get-or-created, so any number of coalescers can bind the
-        same registry. ``repro_batch_compute_seconds`` times the whole
-        sink call: for the worker sink that includes the pipe round
-        trip (the in-worker share is ``repro_worker_predict_seconds``).
-        """
-        self._m_batch_seconds = registry.histogram(
-            "repro_batch_compute_seconds",
-            "Coalesced-batch inference time, by slot.",
-            ("slot",),
-        ).labels(slot)
-        self._m_rows = registry.counter(
-            "repro_dispatch_rows_total",
-            "Scan rows resolved through the dispatcher, by slot.",
-            ("slot",),
-        ).labels(slot)
-        self._m_batches = registry.counter(
-            "repro_dispatch_batches_total",
-            "Coalesced flushes dispatched, by slot.",
-            ("slot",),
-        ).labels(slot)
-        self._m_errors = registry.counter(
-            "repro_dispatch_errors_total",
-            "Requests failed inside dispatch, by slot.",
-            ("slot",),
-        ).labels(slot)
+    def stats(self) -> dict:
+        """This coalescer's slot counters, from a fresh registry snapshot."""
+        return dispatch_stats(self.metrics.snapshot(), self.label)
 
     # -- public API --------------------------------------------------------
 
@@ -205,13 +191,13 @@ class Coalescer:
             rssi = rssi[None, :]
         if rssi.ndim != 2 or rssi.shape[0] == 0:
             raise ValueError(f"expected (n>=1, n_aps) scans, got {rssi.shape}")
-        self.stats.requests += 1
+        self._m_requests.inc()
         loop = asyncio.get_running_loop()
         entry = (rssi, loop.create_future(), trace, time.perf_counter())
         if not self.batched:
             # Never coalesced across clients: the request is its own
             # flush, launched now, so sinks see arrival order.
-            self.stats.sequential_requests += 1
+            self._m_sequential.inc()
             self._launch([entry], entry[3])
         else:
             self._pending.append(entry)
@@ -292,9 +278,7 @@ class Coalescer:
         job.add_done_callback(lambda done: self._deliver(batch, done, t_start))
 
     def _fail(self, batch: list[_Entry], exc: BaseException) -> None:
-        self.stats.errors += len(batch)
-        if self._m_errors is not None:
-            self._m_errors.inc(len(batch))
+        self._m_errors.inc(len(batch))
         for _, fut, _, _ in batch:
             if not fut.done():
                 fut.set_exception(exc)
@@ -310,13 +294,12 @@ class Coalescer:
         coords = done.result()
         elapsed = time.perf_counter() - t_start
         n_rows = sum(rows.shape[0] for rows, _, _, _ in batch)
-        # Counted only on success, so the /healthz batch counters
-        # reflect completed work.
-        self.stats.record_batch(n_rows)
-        if self._m_batch_seconds is not None:
-            self._m_batch_seconds.observe(elapsed)
-            self._m_rows.inc(n_rows)
-            self._m_batches.inc()
+        # Counted only on success, so the batch counters reflect
+        # completed work.
+        self._m_batch_seconds.observe(elapsed)
+        self._m_rows.inc(n_rows)
+        self._m_batches.inc()
+        self._m_max_rows.set_max(n_rows)
         attrs = self._span_attrs()
         if self.batched:
             attrs["batch_rows"] = n_rows
@@ -344,6 +327,13 @@ class BatchingDispatcher(Coalescer):
     chunk_size:
         Forwarded to ``predict_batched`` — caps rows per inference
         block; changes peak memory, never values.
+    metrics:
+        The registry every count behind the server's ``/healthz``,
+        ``/models`` and ``/metrics`` lives in; a fresh one when not
+        supplied. Pass ``MetricsRegistry(enabled=False)`` to run with
+        no-op instrumentation (every count then reads 0).
+    slot:
+        The :class:`Coalescer` label (fleet slots).
     """
 
     def __init__(
@@ -353,12 +343,22 @@ class BatchingDispatcher(Coalescer):
         batch_window_ms: float = 2.0,
         max_batch: int = 256,
         chunk_size: int | None = None,
+        metrics: MetricsRegistry | None = None,
+        slot: str | None = None,
     ) -> None:
         super().__init__(
             self._compute,
             batched=isinstance(localizer, BatchedLocalizer),
+            metrics=metrics if metrics is not None else MetricsRegistry(),
             batch_window_ms=batch_window_ms,
             max_batch=max_batch,
+            slot=slot,
+        )
+        self._m_shard_batches = self._counter(
+            "shard_grouped_batches", "Flushes regrouped by probed shard before inference"
+        )
+        self._m_shard_groups = self._counter(
+            "shard_groups", "Distinct probed shards across regrouped flushes"
         )
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
@@ -389,11 +389,12 @@ class BatchingDispatcher(Coalescer):
         primary probed shard and the predictions scattered back to
         arrival order. The KNN head already groups queries by probe set
         order-independently, so this is an *observability* move, not a
-        throughput one: it feeds the ``shard_grouped_batches``/
-        ``shard_groups`` counters (how shard-concentrated live traffic
-        is — the signal for sizing ``n_probe`` and future shard-local
-        model placement) and hands the model a deterministic shard-major
-        row order. Routing costs one extra pass per flush: a
+        throughput one: it feeds the
+        ``repro_dispatch_shard_grouped_batches_total``/
+        ``repro_dispatch_shard_groups_total`` counters (how
+        shard-concentrated live traffic is — the signal for sizing
+        ``n_probe`` and future shard-local model placement) and hands
+        the model a deterministic shard-major row order. Routing costs one extra pass per flush: a
         ``(rows, n_shards)`` centroid block for KNN, plus a repeated
         imputation for LT-KNN (its routes are defined over imputed
         scans) — acceptable at flush granularity, but the reason routing
@@ -414,8 +415,8 @@ class BatchingDispatcher(Coalescer):
                     out[order] = self.localizer.predict_batched(
                         matrix[order], chunk_size=self.chunk_size
                     )
-                    self.stats.shard_grouped_batches += 1
-                    self.stats.shard_groups += n_groups
+                    self._m_shard_batches.inc()
+                    self._m_shard_groups.inc(n_groups)
                     return out
         return self.localizer.predict_batched(
             matrix, chunk_size=self.chunk_size

@@ -36,8 +36,8 @@ import threading
 import time
 from collections.abc import Callable
 
-from ..obs import JsonLogger, MetricsRegistry, MetricsSnapshot
-from .dispatcher import BatchingDispatcher
+from ..obs import JsonLogger, MetricsRegistry, MetricsSnapshot, new_request_id
+from .dispatcher import BatchingDispatcher, dispatch_stats
 from .protocol import (
     API_VERSION,
     MAX_BODY_BYTES,
@@ -109,10 +109,9 @@ class JsonHttpServer:
         Bind address. ``port=0`` picks an ephemeral port; the bound
         port is written back to ``self.port`` once listening.
     metrics:
-        The :class:`~repro.obs.MetricsRegistry` every layer behind this
-        server records into (``/metrics`` scrapes it). One is created
-        when not supplied; pass ``MetricsRegistry(enabled=False)`` to
-        run with no-op instrumentation.
+        The :class:`~repro.obs.MetricsRegistry` ``/metrics`` scrapes and
+        the HTTP families record into. The concrete servers pass their
+        dispatcher's registry, so every layer behind them shares one.
     log_json / slow_ms:
         Structured JSON request logging to stderr (``repro serve
         --log-json``); ``slow_ms`` drops successful requests faster
@@ -128,20 +127,23 @@ class JsonHttpServer:
     _endpoints = ("/healthz", "/models", "/localize", "/localize_batch",
                   "/observe", "/fleet", "/metrics")
 
+    #: Method label whitelist, bounded the same way: every other
+    #: request-line method is recorded as ``method="other"``.
+    _methods = ("GET", "POST")
+
     def __init__(
         self,
         *,
         host: str = "127.0.0.1",
         port: int = 8000,
-        metrics: MetricsRegistry | None = None,
+        metrics: MetricsRegistry,
         log_json: bool = False,
         slow_ms: float | None = None,
     ) -> None:
         self.host = host
         self.port = port
-        self.requests_served = 0
         self._started_at = time.monotonic()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = metrics
         self.log = JsonLogger(
             self._component, enabled=log_json, slow_ms=slow_ms
         )
@@ -155,6 +157,11 @@ class JsonHttpServer:
             "Wall-clock request handling time, by endpoint.",
             ("endpoint",),
         )
+
+    @property
+    def requests_served(self) -> int:
+        """Requests answered so far: the ``repro_http_requests_total`` sum."""
+        return int(self.metrics.snapshot().total("repro_http_requests_total"))
 
     # -- endpoint hooks (subclass API) -------------------------------------
 
@@ -270,18 +277,25 @@ class JsonHttpServer:
         endpoint: str,
         method: str,
         status: int,
-        duration_s: float,
+        duration_s: float | None,
         request_id: str,
     ) -> None:
-        """Account one served request into metrics + the structured log."""
+        """Account one served request into metrics + the structured log.
+
+        ``duration_s=None`` marks an answer with no handling time (a
+        framing error): it is counted and logged, but adds no latency
+        sample.
+        """
         label = endpoint if endpoint in self._endpoints else "other"
+        method = method if method in self._methods else "other"
         self._m_requests.labels(label, method, str(status)).inc()
-        self._m_latency.labels(label).observe(duration_s)
+        if duration_s is not None:
+            self._m_latency.labels(label).observe(duration_s)
         self.log.request(
             request_id=request_id,
             endpoint=label,
             status=status,
-            duration_ms=duration_s * 1e3,
+            duration_ms=None if duration_s is None else duration_s * 1e3,
         )
 
     async def _collect_metrics(self) -> MetricsSnapshot:
@@ -301,7 +315,12 @@ class JsonHttpServer:
                 except RequestError as exc:
                     # The request framing cannot be trusted after a
                     # malformed read; answer and end the connection.
-                    self.requests_served += 1
+                    # No request was parsed, so there is neither an
+                    # endpoint, a method nor a handling time to record.
+                    self._observe(
+                        endpoint="other", method="other", status=exc.status,
+                        duration_s=None, request_id=new_request_id(),
+                    )
                     await self._respond(
                         writer,
                         exc.status,
@@ -325,7 +344,6 @@ class JsonHttpServer:
                 t_start = time.perf_counter()
                 if path == "/metrics":
                     status, payload = await self._metrics_response(ctx)
-                    self.requests_served += 1
                     self._observe(
                         endpoint=path, method=method, status=status,
                         duration_s=time.perf_counter() - t_start,
@@ -368,7 +386,6 @@ class JsonHttpServer:
                     # Echo the id into the error envelope so a client
                     # log line can be joined to the server's.
                     payload["request_id"] = ctx.request_id
-                self.requests_served += 1
                 self._observe(
                     endpoint=path, method=method, status=status,
                     duration_s=time.perf_counter() - t_start,
@@ -500,8 +517,10 @@ class LocalizationServer(JsonHttpServer):
     store:
         Optional :class:`~repro.serve.store.ModelStore` backing
         ``/models``; without it the endpoint reports just this entry.
-    host / port:
-        Bind address (see :class:`JsonHttpServer`).
+    host / port / log_json / slow_ms:
+        See :class:`JsonHttpServer`. ``/metrics`` scrapes the
+        dispatcher's registry, and ``/healthz`` and ``/models`` read
+        their counts back from it.
     """
 
     def __init__(
@@ -512,18 +531,16 @@ class LocalizationServer(JsonHttpServer):
         store: ModelStore | None = None,
         host: str = "127.0.0.1",
         port: int = 8000,
-        metrics: MetricsRegistry | None = None,
         log_json: bool = False,
         slow_ms: float | None = None,
     ) -> None:
         super().__init__(
-            host=host, port=port, metrics=metrics,
+            host=host, port=port, metrics=dispatcher.metrics,
             log_json=log_json, slow_ms=slow_ms,
         )
         self.entry = entry
         self.dispatcher = dispatcher
         self.store = store
-        dispatcher.bind_metrics(self.metrics)
 
     async def _route(self, request: RequestContext) -> tuple[int, dict]:
         method, path = request.method, request.path
@@ -558,6 +575,7 @@ class LocalizationServer(JsonHttpServer):
         )
 
     def _healthz(self) -> dict:
+        snapshot = self.metrics.snapshot()
         return {
             "status": "ok",
             "api_version": API_VERSION,
@@ -567,8 +585,8 @@ class LocalizationServer(JsonHttpServer):
             "n_aps": self.entry.n_aps,
             "model_source": self.entry.source,
             "uptime_seconds": self.uptime_seconds(),
-            "requests_served": self.requests_served,
-            "dispatcher": self.dispatcher.stats.as_dict(),
+            "requests_served": int(snapshot.total("repro_http_requests_total")),
+            "dispatcher": dispatch_stats(snapshot, self.dispatcher.label),
         }
 
     def _models(self) -> dict:
@@ -576,7 +594,7 @@ class LocalizationServer(JsonHttpServer):
             payload = self.store.describe()
         else:
             payload = {"models": [self.entry.describe()]}
-        payload["dispatcher"] = self.dispatcher.stats.as_dict()
+        payload["dispatcher"] = self.dispatcher.stats()
         return payload
 
     def _banner(self) -> str:

@@ -10,6 +10,7 @@ from repro.api import (
     ReproConnectionError,
     ReproOverloadError,
 )
+from repro.obs import MetricsRegistry
 from repro.serve import JsonHttpServer, RequestError
 from repro.serve.protocol import error_payload
 
@@ -23,7 +24,7 @@ class ScriptedServer(JsonHttpServer):
     """
 
     def __init__(self, script) -> None:
-        super().__init__(port=0)
+        super().__init__(port=0, metrics=MetricsRegistry())
         self.script = list(script)
         self.hits = 0
         self.connections = 0
@@ -219,7 +220,7 @@ class EchoObsServer(JsonHttpServer):
 class TestObservability:
     @pytest.fixture()
     def echo(self):
-        server = EchoObsServer(port=0)
+        server = EchoObsServer(port=0, metrics=MetricsRegistry())
         handle = server.start_background()
         client = ReproClient(port=handle.port)
         yield server, client

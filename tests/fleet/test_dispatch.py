@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetDispatcher, FleetOverloadError
+from repro.fleet.frontend import fleet_stats
 
 from .conftest import direct_slot_predictions
 
@@ -92,7 +93,8 @@ class TestBackpressure:
                     fleet_registry, chunk, decision.building_idx, decision.floors
                 )
                 np.testing.assert_array_equal(coords, direct)
-            assert dispatcher.stats.rejected_requests == len(rejected)
+            counts = fleet_stats(dispatcher.metrics.snapshot())
+            assert counts["rejected_requests"] == len(rejected)
             # The queue drained: admission state is fully released.
             assert dispatcher.pending_rows == 0
         finally:
@@ -133,8 +135,9 @@ class TestBackpressure:
         try:
             with pytest.raises(ValueError, match="never be admitted"):
                 run(dispatcher.localize(fleet_traffic[0][:3]))
-            assert dispatcher.stats.requests == 0
-            assert dispatcher.stats.rejected_requests == 0
+            counts = fleet_stats(dispatcher.metrics.snapshot())
+            assert counts["requests"] == 0
+            assert counts["rejected_requests"] == 0
         finally:
             dispatcher.close()
 
@@ -143,11 +146,12 @@ class TestCounters:
     def test_per_slot_rows_sum_to_admitted(self, dispatcher, fleet_traffic):
         scans = fleet_traffic[0][:40]
         run(dispatcher.localize(scans))
+        snapshot = dispatcher.metrics.snapshot()
         slot_rows = sum(
-            c.rows for c in dispatcher.stats.per_slot.values()
+            s["routing"]["rows"] for s in dispatcher.slot_stats(snapshot).values()
         )
-        assert slot_rows == 40 == dispatcher.stats.rows
-        assert dispatcher.stats.requests == 1
+        assert slot_rows == 40 == fleet_stats(snapshot)["rows"]
+        assert fleet_stats(snapshot)["requests"] == 1
 
     def test_forced_rows_counted(self, dispatcher, fleet_traffic):
         scans, true_b, true_f, _ = fleet_traffic
@@ -157,12 +161,16 @@ class TestCounters:
             await dispatcher.localize(scans[:5], decision=decision)
 
         run(go())
-        assert dispatcher.stats.forced_requests == 1
-        forced = sum(c.forced_rows for c in dispatcher.stats.per_slot.values())
+        snapshot = dispatcher.metrics.snapshot()
+        assert fleet_stats(snapshot)["forced_requests"] == 1
+        forced = sum(
+            s["routing"]["forced_rows"]
+            for s in dispatcher.slot_stats(snapshot).values()
+        )
         assert forced == 5
 
     def test_describe_shape(self, dispatcher):
-        payload = dispatcher.describe()
+        payload = dispatcher.describe(dispatcher.metrics.snapshot())
         assert payload["admission"]["pending_rows"] == 0
         assert set(payload["slots"]) == {
             "HQ/f0", "HQ/f1", "LAB/f0", "LAB/f1",

@@ -150,3 +150,27 @@ class TestWorkerFleetObservability:
         assert summary["workers"] == 2
         assert summary["alive"] == 2
         assert summary["restarts"] == 0
+
+
+def test_per_worker_series_exist_before_any_traffic(fleet_registry):
+    """Every worker is scraped at 0 from spawn, before its first event."""
+    dispatcher = FleetDispatcher(fleet_registry, batch_window_ms=1.0, workers=2)
+    srv = FleetServer(fleet_registry, dispatcher, port=0)
+    handle = srv.start_background()
+    try:
+        status, data = _request(srv.port, "GET", "/metrics")
+    finally:
+        handle.shutdown()
+    assert status == 200
+    families = parse_prometheus_text(data.decode())
+    for name in (
+        "repro_worker_jobs",
+        "repro_worker_job_rows_total",
+        "repro_worker_job_errors_total",
+        "repro_worker_restarts",
+    ):
+        samples = {
+            dict(labels)["worker"]: value
+            for (_, labels), value in families[name]["samples"].items()
+        }
+        assert samples == {"0": 0.0, "1": 0.0}, name

@@ -54,7 +54,7 @@ def _slot_expected(registry, label, scans_rows):
 
 class TestBitIdentity:
     def test_executor_mode(self, mp_dispatcher):
-        desc = mp_dispatcher.describe()["executor"]
+        desc = mp_dispatcher.describe(mp_dispatcher.metrics.snapshot())["executor"]
         assert desc["mode"] == "multi-process"
         assert len(desc["workers"]) == 2
         assert desc["shared_segments"] > 0
@@ -134,7 +134,8 @@ class TestBitIdentity:
             start_method="spawn",
         )
         try:
-            assert d.describe()["executor"]["start_method"] == "spawn"
+            desc = d.describe(d.metrics.snapshot())
+            assert desc["executor"]["start_method"] == "spawn"
             coords, decision = run(d.localize(scans))
         finally:
             d.close()
@@ -190,7 +191,9 @@ class TestCrashRestart:
         np.testing.assert_array_equal(
             coords, _slot_expected(fleet_registry, label, rows[:6])
         )
-        stats = {w["worker"]: w for w in pool.worker_stats()}
+        stats = {
+            w["worker"]: w for w in pool.worker_stats(pool.metrics.snapshot())
+        }
         assert stats[victim.id]["restarts"] >= 1
         assert stats[victim.id]["alive"]
 
@@ -357,7 +360,7 @@ class TestRebalance:
             0 <= p <= dispatcher.max_pending_rows for p in pending_seen
         )
         # The surviving worker owns the whole fleet, warm.
-        stats = dispatcher.executor.worker_stats()
+        stats = dispatcher.executor.worker_stats(dispatcher.metrics.snapshot())
         assert [w["worker"] for w in stats] == [0]
         assert sorted(stats[0]["slots"]) == sorted(
             s.slot.label for s in fleet_registry.slots()
@@ -398,7 +401,7 @@ class TestExecutorSeam:
 
     def test_slot_stats_shape(self, mp_dispatcher, fleet_traffic):
         run(mp_dispatcher.localize(fleet_traffic[0][:8]))
-        stats = mp_dispatcher.slot_stats()
+        stats = mp_dispatcher.slot_stats(mp_dispatcher.metrics.snapshot())
         assert set(stats) == {"HQ/f0", "HQ/f1", "LAB/f0", "LAB/f1"}
         for entry in stats.values():
             assert entry["dispatcher"]["worker"] in (0, 1)

@@ -151,7 +151,9 @@ class TestWorkersSwap:
                 )
             )
         np.testing.assert_array_equal(coords, v2)
-        stats = {w["worker"]: w for w in pool.worker_stats()}
+        stats = {
+            w["worker"]: w for w in pool.worker_stats(pool.metrics.snapshot())
+        }
         assert stats[victim.id]["restarts"] >= 1
 
     def test_sigkill_racing_the_swap_window(self, shm_audit, worker_fleet):

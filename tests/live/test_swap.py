@@ -147,8 +147,9 @@ class TestSwapBookkeeping:
         assert summary["refit"]["n_observations"] == 40
         assert summary["refit"]["old_digest"] != summary["refit"]["new_digest"]
         state = live.state_for("HQ", 0)
-        assert state.refits == 1
-        assert state.swaps == 1
+        counts = live.describe(dispatcher.metrics.snapshot())["slots"]["HQ/f0"]
+        assert counts["refits"] == 1
+        assert counts["swaps"] == 1
         # The consumed rows cleared; the buffer is ready for the next cycle.
         assert state.buffer.n_rows == 0
         live.close()

@@ -82,6 +82,34 @@ class TestFamilies:
         assert snap.metrics["x_total"]["children"] == {}
         assert snap.metrics["lat"]["children"] == {}
 
+    def test_gauge_set_max_is_a_high_water_mark(self):
+        reg = MetricsRegistry()
+        g = reg.gauge("max_rows", "largest flush", ("slot",)).labels("a")
+        for value in (3, 8, 5):
+            g.set_max(value)
+        assert reg.snapshot().value("max_rows", "a") == 8.0
+        MetricsRegistry(enabled=False).gauge("max_rows").labels().set_max(1)
+
+
+class TestSnapshotReads:
+    def test_value_reads_zero_until_recorded(self):
+        reg = MetricsRegistry()
+        c = reg.counter("rows_total", "rows", ("slot",))
+        c.labels("a").inc(4)
+        snap = reg.snapshot()
+        assert snap.value("rows_total", "a") == 4.0
+        assert snap.value("rows_total", "b") == 0.0
+        assert snap.value("no_such_total", "a") == 0.0
+
+    def test_total_sums_every_series(self):
+        reg = MetricsRegistry()
+        c = reg.counter("rows_total", "rows", ("slot",))
+        c.labels("a").inc(4)
+        c.labels("b").inc(6)
+        snap = reg.snapshot()
+        assert snap.total("rows_total") == 10.0
+        assert snap.total("no_such_total") == 0.0
+
 
 class TestThreadedExactness:
     """Parallel recording must lose nothing: counts and sums are exact."""

@@ -91,11 +91,11 @@ class TestMicroBatching:
             knn_entry.localizer, batch_window_ms=50.0, max_batch=1024
         )
         _gather(dispatcher, query_rows)
-        stats = dispatcher.stats
-        assert stats.requests == len(query_rows)
-        assert stats.rows == len(query_rows)
-        assert stats.batches < stats.requests
-        assert stats.mean_batch_rows() > 1.0
+        stats = dispatcher.stats()
+        assert stats["requests"] == len(query_rows)
+        assert stats["rows"] == len(query_rows)
+        assert stats["batches"] < stats["requests"]
+        assert stats["rows"] / stats["batches"] > 1.0
 
     def test_max_batch_bounds_coalescing(self, make_slot, knn_entry, query_rows):
         slot = make_slot(knn_entry, batch_window_ms=50.0, max_batch=8)
@@ -103,10 +103,10 @@ class TestMicroBatching:
         np.testing.assert_array_equal(
             np.vstack(out), knn_entry.localizer.predict_batched(query_rows)
         )
-        stats = slot.stats
-        assert stats.max_batch_rows == 8
-        assert stats.batches == len(query_rows) // 8
-        assert stats.rows == len(query_rows)
+        stats = slot.stats()
+        assert stats["max_batch_rows"] == 8
+        assert stats["batches"] == len(query_rows) // 8
+        assert stats["rows"] == len(query_rows)
 
     def test_max_batch_one_is_per_request_dispatch(
         self, make_slot, knn_entry, query_rows
@@ -117,8 +117,8 @@ class TestMicroBatching:
         np.testing.assert_array_equal(
             np.vstack(out), knn_entry.localizer.predict_batched(rows)
         )
-        assert slot.stats.batches == len(rows)
-        assert slot.stats.max_batch_rows == 1
+        assert slot.stats()["batches"] == len(rows)
+        assert slot.stats()["max_batch_rows"] == 1
 
     def test_drain_completes_in_flight_and_pending(
         self, make_slot, knn_entry, query_rows
@@ -138,7 +138,7 @@ class TestMicroBatching:
         np.testing.assert_array_equal(
             np.vstack(out), knn_entry.localizer.predict_batched(query_rows[:6])
         )
-        assert slot.stats.batches == 2
+        assert slot.stats()["batches"] == 2
 
     def test_multi_row_request_rides_one_batch(self, knn_entry, query_rows):
         dispatcher = BatchingDispatcher(
@@ -162,7 +162,7 @@ class TestMicroBatching:
             np.vstack([single, batch]),
             knn_entry.localizer.predict_batched(query_rows[:5]),
         )
-        assert dispatcher.stats.batches == 1
+        assert dispatcher.stats()["batches"] == 1
 
     def test_chunk_size_does_not_change_values(self, knn_entry, query_rows):
         dispatcher = BatchingDispatcher(
@@ -187,11 +187,11 @@ class TestSequentialFallback:
         # predicting each walk alone, in any order.
         for walk, answer in zip(walks, out):
             np.testing.assert_array_equal(answer, gift_entry.localizer.predict(walk))
-        stats = slot.stats
-        assert stats.sequential_requests == len(walks)
+        stats = slot.stats()
+        assert stats["sequential_requests"] == len(walks)
         # No cross-request coalescing on the sequential path.
-        assert stats.batches == len(walks)
-        assert stats.max_batch_rows == 3
+        assert stats["batches"] == len(walks)
+        assert stats["max_batch_rows"] == 3
 
     def test_gift_multi_row_request_stays_one_walk(
         self, gift_entry, query_rows
@@ -229,7 +229,7 @@ class TestErrors:
         np.testing.assert_array_equal(
             out, knn_entry.localizer.predict_batched(query_rows[:1])
         )
-        assert dispatcher.stats.errors == 1
+        assert dispatcher.stats()["errors"] == 1
 
     def test_failure_fans_out_to_whole_batch(self, make_slot, knn_entry, query_rows):
         slot = make_slot(knn_entry, batch_window_ms=50.0, max_batch=1024)
@@ -239,9 +239,9 @@ class TestErrors:
         out = _submit_all(slot, bad)
         assert all(isinstance(result, Exception) for result in out)
         assert len({str(result) for result in out}) == 1
-        stats = slot.stats
-        assert stats.errors == len(bad)
-        assert stats.batches == 0
+        stats = slot.stats()
+        assert stats["errors"] == len(bad)
+        assert stats["batches"] == 0
         # The slot is not poisoned: the next flush answers normally.
         (good,) = _submit_all(slot, query_rows[:1])
         np.testing.assert_array_equal(

@@ -163,8 +163,8 @@ class TestConnectionClose:
     def test_client_close_between_requests_is_silent(self, server):
         # Open, complete one cycle, close: the server must not log a
         # request or error for the EOF.
-        before_errors = server.dispatcher.stats.errors
+        before_errors = server.dispatcher.stats()["errors"]
         with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
             sock.sendall(_raw_request("/healthz"))
             _read_response(sock)
-        assert server.dispatcher.stats.errors == before_errors
+        assert server.dispatcher.stats()["errors"] == before_errors

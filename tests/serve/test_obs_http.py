@@ -5,12 +5,14 @@ from __future__ import annotations
 import http.client
 import io
 import json
+import socket
 
 import pytest
 
 from repro import __version__
 from repro.obs import parse_prometheus_text
 from repro.serve import BatchingDispatcher, LocalizationServer
+from repro.serve.protocol import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +198,73 @@ class TestHealthz:
         assert status == 200
         assert body["version"] == __version__
         assert body["uptime_seconds"] >= 0
+
+
+@pytest.fixture()
+def fresh_server(knn_entry):
+    """A server with an empty registry, so series counts are exact."""
+    dispatcher = BatchingDispatcher(knn_entry.localizer, batch_window_ms=1.0)
+    srv = LocalizationServer(knn_entry, dispatcher, port=0, log_json=True)
+    srv.log._stream = io.StringIO()
+    handle = srv.start_background()
+    yield srv
+    handle.shutdown()
+
+
+def _raw_exchange(server, request: bytes) -> int:
+    """Send raw bytes on a fresh connection; returns the response status."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(request)
+        response = b""
+        while b"\r\n" not in response:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+    return int(response.split(b" ", 2)[1])
+
+
+def _http_series(server) -> dict:
+    """``{(endpoint, method, status): count}`` of the HTTP request family."""
+    return dict(
+        server.metrics.snapshot().metrics["repro_http_requests_total"]["children"]
+    )
+
+
+class TestBoundedLabels:
+    def test_unknown_methods_fold_into_one_series(self, fresh_server):
+        before = set(_http_series(fresh_server))
+        for i in range(8):
+            status = _raw_exchange(
+                fresh_server, f"M{i} /healthz HTTP/1.1\r\n\r\n".encode()
+            )
+            assert status == 405
+        added = set(_http_series(fresh_server)) - before
+        assert added == {("/healthz", "other", "405")}
+
+
+class TestFramingErrorsCounted:
+    def test_malformed_framing_reaches_metrics_and_log(self, fresh_server):
+        for _ in range(5):
+            assert _raw_exchange(fresh_server, b"PUT /healthz HTTP/1.1\r\n\r\n") == 405
+        assert _raw_exchange(fresh_server, b"GARBAGE\r\n\r\n") == 400
+        oversized = (
+            f"POST /localize HTTP/1.1\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode()
+        assert _raw_exchange(fresh_server, oversized) == 413
+        series = _http_series(fresh_server)
+        assert fresh_server.requests_served == 7 == sum(series.values())
+        assert series[("other", "other", "400")] == 1
+        assert series[("other", "other", "413")] == 1
+        # No handling time was measured, so no latency sample is taken.
+        latency = fresh_server.metrics.snapshot().metrics[
+            "repro_http_request_seconds"
+        ]["children"]
+        assert latency.get(("other",), {"count": 0})["count"] == 0
+        logged = [
+            (r["endpoint"], r["status"], r["duration_ms"])
+            for r in _log_records(fresh_server)
+        ]
+        assert ("other", 400, None) in logged
+        assert ("other", 413, None) in logged

@@ -132,7 +132,7 @@ class TestShardRoutedBatch:
         expected = partial_entry.localizer.predict_batched(rows)
         got = np.vstack([results[i] for i in range(24)])
         np.testing.assert_array_equal(got, expected)
-        stats = partial_srv.dispatcher.stats
+        stats = partial_srv.dispatcher.stats()
         # Shard grouping only engages on multi-row coalesced flushes
         # with >1 distinct route; either way the counters stay coherent.
-        assert stats.shard_groups >= stats.shard_grouped_batches
+        assert stats["shard_groups"] >= stats["shard_grouped_batches"]
